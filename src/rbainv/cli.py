@@ -22,6 +22,7 @@ from . import (FitConfig, InversionConfig, LsqrConfig, Model, NoiseSpec,
                run_inversion, save_approximant, save_dataset, scaling_benchmark,
                taylor_test, write_run_artifacts)
 from .forward import response_from_pole_solutions
+from .pool import parse_worker_count
 from .shifted import solve_all_poles
 
 
@@ -49,7 +50,8 @@ def _load_model(problem, path: str | None) -> Model:
 def cmd_fit_rba(args) -> int:
     channels = _parse_times(args.times_log10)
     cfg = FitConfig(max_iters=args.max_iters)
-    approx = fit_common_pole(channels, (args.xmin, args.xmax), args.poles, cfg)
+    with PoleWorkerPool(args.workers) as pool:
+        approx = fit_common_pole(channels, (args.xmin, args.xmax), args.poles, cfg, pool)
     save_approximant(approx, args.out)
     print(f"fit {args.poles} poles over [{args.xmin:g}, {args.xmax:g}]: "
           f"max abs error {approx.fit_error:.3e} "
@@ -61,9 +63,8 @@ def cmd_forward(args) -> int:
     problem = _load_problem(args.problem)
     model = _load_model(problem, args.model)
     approx = load_approximant(args.approx)
-    cache = ShiftedFactorCache()
-    pool = PoleWorkerPool(args.workers)
-    result = forward_response(problem, model, approx, cache, pool)
+    with PoleWorkerPool(args.workers) as pool:
+        result = forward_response(problem, model, approx, ShiftedFactorCache(), pool)
     doc = {
         "data": result.data.tolist(),
         "times": approx.channels.times.tolist(),
@@ -82,15 +83,15 @@ def cmd_verify(args) -> int:
     model = _load_model(problem, args.model)
     approx = load_approximant(args.approx)
     cache = ShiftedFactorCache()
-    pool = PoleWorkerPool(args.workers)
 
     rng = np.random.default_rng(args.seed)
     direction = rng.standard_normal(problem.grid.cell_count)
     direction /= np.max(np.abs(direction))
     h_values = 10.0 ** np.arange(-1, -6, -1, dtype=float)
-    taylor = taylor_test(problem, model, approx, direction, h_values, cache, pool)
-    opr = JacobianOperator(problem, model, approx, cache, pool)
-    mismatch = adjoint_test(opr, trials=args.trials, seed=args.seed)
+    with PoleWorkerPool(args.workers) as pool:
+        taylor = taylor_test(problem, model, approx, direction, h_values, cache, pool)
+        opr = JacobianOperator(problem, model, approx, cache, pool)
+        mismatch = adjoint_test(opr, trials=args.trials, seed=args.seed)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -128,10 +129,23 @@ def cmd_make_data(args) -> int:
     return 0
 
 
+def _input_mismatch(problem, data, approx) -> str | None:
+    """Why the data, approximant and problem files do not belong together."""
+    if not np.array_equal(data.times, approx.channels.times):
+        return "the data's times differ from the approximant's channel times"
+    if not np.array_equal(data.receivers, problem.receivers):
+        return "the data's receivers differ from the problem's receivers"
+    return None
+
+
 def cmd_invert(args) -> int:
     problem = _load_problem(args.problem)
     data = load_dataset(args.data)
     approx = load_approximant(args.approx)
+    mismatch = _input_mismatch(problem, data, approx)
+    if mismatch is not None:
+        print(f"rbainv invert: error: {mismatch}", file=sys.stderr)
+        return 2
     cfg = InversionConfig(
         lambda0=args.lambda0,
         chi2_target=args.chi2_target,
@@ -142,8 +156,8 @@ def cmd_invert(args) -> int:
     cache = ShiftedFactorCache()
     state = run_inversion(problem, data, approx, cfg, cache)
 
-    pool = PoleWorkerPool(args.workers)
-    g = solve_all_poles(problem, state.model, approx, problem.f, cache, pool)
+    with PoleWorkerPool(args.workers) as pool:
+        g = solve_all_poles(problem, state.model, approx, problem.f, cache, pool)
     d_pred, _ = response_from_pole_solutions(problem, approx, g)
     write_run_artifacts(args.out, state, data, problem, approx, d_pred)
     print(f"inversion: {state.nu} iterations, chi2={state.chi2:.3f}, "
@@ -181,6 +195,16 @@ def cmd_bench_scaling(args) -> int:
     return 0
 
 
+WORKERS_HELP = "thread workers (default: $RBAINV_WORKERS, else 1)"
+
+
+def _worker_count(text: str) -> int:
+    try:
+        return parse_worker_count(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rbainv",
                                      description=__doc__.splitlines()[0])
@@ -193,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmin", type=float, default=0.0)
     p.add_argument("--xmax", type=float, required=True)
     p.add_argument("--max-iters", type=int, default=50)
+    p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_rba)
 
@@ -200,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--model", default=None, help="model JSON, 'true', or omit for reference")
     p.add_argument("--approx", required=True)
-    p.add_argument("--workers", type=int, default=default_worker_count())
+    p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_forward)
 
@@ -210,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--approx", required=True)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=default_worker_count())
+    p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_verify)
 
@@ -233,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-gn", type=int, default=30)
     p.add_argument("--lsqr-tol", type=float, default=1e-3)
     p.add_argument("--lsqr-max-iters", type=int, default=50)
-    p.add_argument("--workers", type=int, default=default_worker_count())
+    p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
     p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_invert)
 
@@ -261,7 +286,13 @@ def main(argv=None) -> int:
         if argv[k] == "--times-log10" and argv[k + 1].startswith("-"):
             argv[k:k + 2] = [f"--times-log10={argv[k + 1]}"]
             break
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) is None:
+        try:
+            args.workers = default_worker_count()
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.func(args)
 
 

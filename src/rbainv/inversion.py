@@ -25,7 +25,8 @@ from .mesh import Model, Problem
 from .rba import RationalApproximant
 from .regularization import RegOperator, build_reg, reg_value_grad
 from .sensitivity import JacobianOperator
-from .shifted import PoleWorkerPool, ShiftedFactorCache, solve_all_poles
+from .shifted import (PoleWorkerPool, ShiftedFactorCache, factorize_all_poles,
+                      solve_all_poles)
 from .synthetic import DataSet
 
 __all__ = [
@@ -212,7 +213,13 @@ def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
     needed to replay the objective and the Armijo bookkeeping."""
     cfg = cfg or InversionConfig()
     cache = cache or ShiftedFactorCache()
-    pool = PoleWorkerPool(cfg.workers)
+    with PoleWorkerPool(cfg.workers) as pool:
+        return _gauss_newton(problem, data, approx, cfg, cache, pool)
+
+
+def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
+                  cfg: InversionConfig, cache: ShiftedFactorCache,
+                  pool: PoleWorkerPool) -> InversionState:
     reg = build_reg(problem.grid)
     ref = problem.reference_model()
     m_start = cfg.m0 if cfg.m0 is not None else ref.m
@@ -262,6 +269,9 @@ def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
 
         ls = line_search(phi, slope, phi_eval, c1=cfg.c1, eta_min=cfg.eta_min,
                          quad_refine=cfg.quad_refine)
+        if not ls.accepted:
+            # the trials evicted the factors of the model the next operator is built at
+            factorize_all_poles(problem, model, approx, cache, pool)
         wall_ms = (time.perf_counter() - t0) * 1e3
         counters1 = cache.counters.snapshot()
 

@@ -96,18 +96,18 @@ def scaling_benchmark(problem: Problem, model: Model, approx: RationalApproximan
     rows = []
     t1_total = None
     for w in worker_counts:
-        pool = PoleWorkerPool(w)
         cache = ShiftedFactorCache()
         cache.activate(model.version_tag())
-        t0 = time.perf_counter()
-        factorize_all_poles(problem, model, approx, cache, pool)
-        t_fact = time.perf_counter() - t0
+        with PoleWorkerPool(w) as pool:
+            t0 = time.perf_counter()
+            factorize_all_poles(problem, model, approx, cache, pool)
+            t_fact = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        for _ in range(solve_repeats):
-            g = np.array(pool.map_poles(
-                lambda i: resolve_with_cache(cache, i, rhs), approx.pole_count))
-        t_solve = (time.perf_counter() - t0) / solve_repeats
+            t0 = time.perf_counter()
+            for _ in range(solve_repeats):
+                g = np.array(pool.map_poles(
+                    lambda i: resolve_with_cache(cache, i, rhs), approx.pole_count))
+            t_solve = (time.perf_counter() - t0) / solve_repeats
 
         total = t_fact + t_solve
         if t1_total is None:

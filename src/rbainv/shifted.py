@@ -8,9 +8,7 @@ mutable state, so results are bit-identical for any worker count.
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import Model, Problem, assemble_M
+from .pool import PoleWorkerPool, default_worker_count
 from .rba import RationalApproximant
 
 __all__ = [
@@ -120,39 +119,6 @@ class ShiftedFactorCache:
         if key not in self.entries:
             raise CacheMissError(f"no factorization for pole {i}, model {self.current_tag}")
         return self.entries[key].A
-
-
-def default_worker_count() -> int:
-    return int(os.environ.get("RBAINV_WORKERS", "1"))
-
-
-class PoleWorkerPool:
-    """Maps per-pole work across workers that each own a fixed pole subset.
-
-    Worker p owns pole indices {i : i mod W == p} and processes them in
-    ascending order; results land in a pole-indexed list, so the gathered
-    output never depends on the worker count.
-    """
-
-    def __init__(self, workers: int = 1):
-        self.workers = max(1, int(workers))
-
-    def map_poles(self, fn, count: int) -> list:
-        results = [None] * count
-        if self.workers == 1:
-            for i in range(count):
-                results[i] = fn(i)
-            return results
-
-        def run_subset(p: int):
-            for i in range(p, count, self.workers):
-                results[i] = fn(i)
-
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [pool.submit(run_subset, p) for p in range(self.workers)]
-            for fut in futures:
-                fut.result()
-        return results
 
 
 def factorize_all_poles(problem: Problem, model: Model, approx: RationalApproximant,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -105,3 +106,63 @@ def test_bench_scaling_subcommand(workdir):
     rows = json.loads(out.read_text())
     assert [r["workers"] for r in rows] == [1, 2]
     assert len({r["checksum"] for r in rows}) == 1
+
+
+def fit_args(workdir):
+    prob = rb.build_problem(rb.parse_problem_file(workdir / "problem.ini"))
+    bound = rb.spectral_bound(prob, prob.reference_model())
+    return ["fit-rba", "--times-log10", "-6:-3:9", "--poles", "10",
+            "--xmax", str(10 * bound)]
+
+
+def test_fit_rba_workers_bit_identical(workdir):
+    outs = []
+    for W in (1, 2):
+        out = workdir / f"approx_w{W}.json"
+        assert main(fit_args(workdir) + ["--workers", str(W), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == (workdir / "approx.json").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_malformed_workers_env_is_a_usage_error(workdir, monkeypatch, capsys, value):
+    monkeypatch.setenv("RBAINV_WORKERS", value)
+    forward = ["forward", "--problem", str(workdir / "problem.ini"),
+               "--approx", str(workdir / "approx.json"),
+               "--out", str(workdir / "bad_env.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(forward)
+    assert exc.value.code == 2
+    assert "RBAINV_WORKERS" in capsys.readouterr().err
+    # an explicit --workers wins, and commands without workers never read it
+    assert main(forward + ["--workers", "2"]) == 0
+    assert main(["make-data", "--problem", str(workdir / "problem.ini"),
+                 "--approx", str(workdir / "approx.json"),
+                 "--out", str(workdir / "bad_env_data.json")]) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "two"])
+def test_bad_workers_option_is_a_usage_error(workdir, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(fit_args(workdir) + ["--workers", value, "--out", str(workdir / "x.json")])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,message", [("times", "times"), ("receivers", "receivers")])
+def test_invert_rejects_mismatched_inputs(workdir, capsys, field, message):
+    problem = rb.build_problem(rb.parse_problem_file(workdir / "problem.ini"))
+    approx = rb.load_approximant(workdir / "approx.json")
+    data = rb.make_dataset(problem, problem.true_model(), approx, rb.NoiseSpec(seed=2))
+    data = dataclasses.replace(data, **{field: getattr(data, field) * 1.5})
+    path = workdir / f"data_bad_{field}.json"
+    rb.save_dataset(data, path)
+    rundir = workdir / f"run_bad_{field}"
+    capsys.readouterr()
+    rc = main(["invert", "--problem", str(workdir / "problem.ini"), "--data", str(path),
+               "--approx", str(workdir / "approx.json"), "--max-gn", "2",
+               "--out", str(rundir)])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err and "Traceback" not in err
+    assert not rundir.exists()

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,66 @@ def test_default_lambda0_formula(tiny_setup):
     r_pert, _ = rb.reg_value_grad(reg, rb.Model(model.m_ref + pert, model.m_ref))
     assert lam0 == pytest.approx(misfit / max(1.0, 2.0 * r_pert))
     assert lam0 > 0
+
+
+DIAGNOSTICS = {
+    "chi2 target reached",
+    "max Gauss-Newton iterations",
+    "lambda floor reached",
+    "divergence guard: objective rose on 3 consecutive accepted steps",
+}
+
+
+def assert_counter_laws(state, m):
+    """Per iteration, in units of m (one per pole): a factorization per
+    trial model, plus one to restore the current model after a rejected
+    search; a solve for the gradient's vjp, for LSQR's opening vjp, for one
+    jvp and one vjp per LSQR iteration, and for each trial's forward."""
+    for r in state.history:
+        restore = 0 if r.accepted else 1
+        assert r.factorizations == m * (r.phi_evals + restore)
+        assert r.solves == m * (2 + 2 * r.lsqr_iters + r.phi_evals)
+
+
+def test_rejected_line_search_continues(tiny_setup, monkeypatch):
+    prob, ap, data = tiny_setup
+    real_search = inv_mod.line_search
+    calls = []
+
+    # the first search evaluates one trial (evicting the current model's
+    # factors) and rejects; later searches run normally
+    def reject_first(phi0, slope, evaluator, **kwargs):
+        calls.append(phi0)
+        if len(calls) == 1:
+            evaluator(1.0)
+            return rb.LineSearchResult(kwargs["eta_min"], False, phi0, 1)
+        return real_search(phi0, slope, evaluator, **kwargs)
+
+    monkeypatch.setattr(inv_mod, "line_search", reject_first)
+    cfg = rb.InversionConfig(lambda0=50.0, max_gn=4, workers=2)
+    state = rb.run_inversion(prob, data, ap, cfg)
+    assert state.diagnostic in DIAGNOSTICS
+    assert len(state.history) == 4
+    first, *rest = state.history
+    assert not first.accepted and first.eta == 0.0
+    assert rest[0].lam == first.lam * 0.5
+    assert all(r.accepted for r in rest)
+    assert state.chi2 < first.chi2
+    assert_counter_laws(state, ap.pole_count)
+
+
+def test_accepted_path_counter_laws(tiny_setup):
+    prob, ap, data = tiny_setup
+    state = rb.run_inversion(prob, data, ap, rb.InversionConfig(lambda0=50.0, max_gn=6))
+    assert all(r.accepted for r in state.history)
+    assert_counter_laws(state, ap.pole_count)
+
+
+def test_back_to_back_inversions_leave_no_threads(tiny_setup):
+    prob, ap, data = tiny_setup
+    before = set(threading.enumerate())
+    cfg = rb.InversionConfig(lambda0=50.0, max_gn=2, workers=2)
+    first = rb.run_inversion(prob, data, ap, cfg)
+    second = rb.run_inversion(prob, data, ap, cfg)
+    assert set(threading.enumerate()) <= before
+    np.testing.assert_array_equal(first.model.m, second.model.m)

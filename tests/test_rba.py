@@ -179,3 +179,17 @@ def test_fit_preconditions(channels31):
         rb.fit_common_pole(channels31, (-1.0, 1e5), 4)
     with pytest.raises(ValueError):
         rb.fit_common_pole(rb.TimeChannels(np.array([])), (0.0, 1e5), 4)
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_fit_bit_identical_for_any_worker_count(relative):
+    channels = rb.TimeChannels.logspaced(1e-6, 1e-3, 6)
+    cfg = FitConfig(n_log=300, n_lin=300, max_iters=15, relative_weighting=relative)
+    serial = rb.fit_common_pole(channels, (0.0, 1e5), 4, cfg)
+    for W in (1, 2, 4):
+        with rb.PoleWorkerPool(W) as pool:
+            fit = rb.fit_common_pole(channels, (0.0, 1e5), 4, cfg, pool)
+        assert np.array_equal(fit.poles, serial.poles)
+        assert np.array_equal(fit.residues, serial.residues)
+        assert fit.fit_error == serial.fit_error
+        assert fit.iterations == serial.iterations
