@@ -18,15 +18,14 @@ from .mesh import (AnomalySpec, Grid, Model, Problem, ProblemSpec, SourceSpec,
 from .rba import (FitConfig, FitReport, PoleCollisionError, RationalApproximant,
                   TimeChannels, eval_scalar, fit_common_pole, fit_pole_sweep,
                   load_approximant, refit_residues, save_approximant, validate_fit)
-from .regularization import (RegOperator, apply_sqrt, apply_sqrt_t, build_reg,
-                             reg_value_grad)
+from .regularization import RegOperator, build_reg, reg_value_grad
 from .reporting import (RunReport, TimingModel, consolidate_report,
                         fit_timing_model, pole_solution_checksum,
                         scaling_benchmark, write_run_artifacts)
 from .sensitivity import JacobianOperator, TaylorReport, adjoint_test, taylor_test
 from .shifted import (CacheMissError, PoleWorkerPool, ShiftedFactorCache,
                       SolveError, default_worker_count, factorize_all_poles,
-                      resolve_with_cache, solve_all_poles)
+                      solve_all_poles)
 from .synthetic import DataSet, NoiseSpec, load_dataset, make_dataset, save_dataset
 
 __version__ = "0.1.0"

@@ -21,9 +21,7 @@ from . import (FitConfig, InversionConfig, LsqrConfig, Model, NoiseSpec,
                load_approximant, load_dataset, make_dataset, parse_problem_file,
                run_inversion, save_approximant, save_dataset, scaling_benchmark,
                taylor_test, write_run_artifacts)
-from .forward import response_from_pole_solutions
 from .pool import parse_worker_count
-from .shifted import solve_all_poles
 
 
 def _parse_times(text: str) -> TimeChannels:
@@ -153,13 +151,8 @@ def cmd_invert(args) -> int:
         lsqr=LsqrConfig(tol=args.lsqr_tol, max_iters=args.lsqr_max_iters),
         workers=args.workers,
     )
-    cache = ShiftedFactorCache()
-    state = run_inversion(problem, data, approx, cfg, cache)
-
-    with PoleWorkerPool(args.workers) as pool:
-        g = solve_all_poles(problem, state.model, approx, problem.f, cache, pool)
-    d_pred, _ = response_from_pole_solutions(problem, approx, g)
-    write_run_artifacts(args.out, state, data, problem, approx, d_pred)
+    state = run_inversion(problem, data, approx, cfg)
+    write_run_artifacts(args.out, state, data, problem, approx, state.d_pred)
     print(f"inversion: {state.nu} iterations, chi2={state.chi2:.3f}, "
           f"lambda={state.lam:.3e} ({state.diagnostic})")
     return 0
@@ -183,8 +176,7 @@ def cmd_bench_scaling(args) -> int:
     problem = _load_problem(args.problem)
     model = _load_model(problem, args.model)
     approx = load_approximant(args.approx)
-    workers = [int(w) for w in args.workers.split(",")]
-    rows = scaling_benchmark(problem, model, approx, workers)
+    rows = scaling_benchmark(problem, model, approx, args.workers)
     with open(args.out, "w") as fh:
         json.dump(rows, fh, indent=1)
     for row in rows:
@@ -203,6 +195,11 @@ def _worker_count(text: str) -> int:
         return parse_worker_count(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _worker_counts(text: str) -> list[int]:
+    """'1,2,4' -> [1, 2, 4]; every entry parsed as a worker count."""
+    return [_worker_count(w) for w in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--approx", required=True)
-    p.add_argument("--workers", default="1,2,4,8")
+    p.add_argument("--workers", type=_worker_counts, default="1,2,4,8",
+                   help="comma-separated worker counts")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench_scaling)
     return parser

@@ -97,6 +97,7 @@ class InversionState:
     history: list = field(default_factory=list)
     diagnostic: str = ""
     counters: dict = field(default_factory=dict)
+    d_pred: np.ndarray | None = None    # predicted data at ``model``
 
 
 @dataclass
@@ -131,10 +132,12 @@ def default_lambda0(problem: Problem, data: DataSet, reg: RegOperator,
     return misfit / max(1.0, 2.0 * r_pert)
 
 
-def _augmented_lsqr(opr: JacobianOperator, reg: RegOperator, data: DataSet,
-                    d_pred: np.ndarray, model: Model, lam: float,
-                    lsqr_cfg: LsqrConfig):
-    """Solve the stacked least-squares problem for the model update."""
+def gn_step(opr: JacobianOperator, reg: RegOperator, data: DataSet,
+            d_pred: np.ndarray, model: Model, lam: float,
+            lsqr_cfg: LsqrConfig = LsqrConfig()):
+    """One linearized update at ``model``, whose predicted data is ``d_pred``
+    and whose Jacobian is ``opr``: LSQR on the stacked system.  Returns
+    (dm, lsqr_iters, lsqr_istop)."""
     n_data = data.size
     P = model.cell_count
     W = data.weights
@@ -154,27 +157,6 @@ def _augmented_lsqr(opr: JacobianOperator, reg: RegOperator, data: DataSet,
     x, istop, itn, *_ = spla.lsqr(op, b, atol=lsqr_cfg.tol, btol=lsqr_cfg.tol,
                                   iter_lim=lsqr_cfg.max_iters)
     return x, int(itn), int(istop)
-
-
-def gn_step(state: InversionState, problem: Problem, approx: RationalApproximant,
-            reg: RegOperator, data: DataSet, cache: ShiftedFactorCache,
-            lsqr_cfg: LsqrConfig | None = None, pool: PoleWorkerPool | None = None,
-            opr: JacobianOperator | None = None,
-            d_pred: np.ndarray | None = None):
-    """One linearized update at ``state.model``; returns (dm, lsqr_iters).
-
-    Builds the Jacobian operator (reusing cached factorizations when the
-    model version matches) unless one is supplied.
-    """
-    lsqr_cfg = lsqr_cfg or LsqrConfig()
-    if opr is None:
-        opr = JacobianOperator(problem, state.model, approx, cache, pool)
-    if d_pred is None:
-        d_pred, _ = response_from_pole_solutions(problem, approx, opr.g)
-    dm, itn, istop = _augmented_lsqr(opr, reg, data, d_pred, state.model,
-                                     state.lam, lsqr_cfg)
-    state.counters["last_lsqr_istop"] = istop
-    return dm, itn
 
 
 def line_search(phi0: float, directional_slope: float, phi_evaluator,
@@ -255,8 +237,7 @@ def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
         opr = JacobianOperator(problem, model, approx, cache, pool, pole_solutions=g)
         residual = d_pred - data.d_obs
         grad = opr.vjp(W * W * residual) + lam * (reg.L @ (model.m - model.m_ref))
-        dm, lsqr_iters, istop = _augmented_lsqr(opr, reg, data, d_pred, model,
-                                                lam, cfg.lsqr)
+        dm, lsqr_iters, istop = gn_step(opr, reg, data, d_pred, model, lam, cfg.lsqr)
         slope = float(grad @ dm)
 
         evals: dict[float, tuple] = {}
@@ -313,5 +294,6 @@ def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
 
     if chi2 <= cfg.chi2_target:
         state.diagnostic = "chi2 target reached"
+    state.d_pred = d_pred
     state.counters.update(cache.counters.snapshot())
     return state

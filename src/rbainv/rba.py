@@ -216,6 +216,16 @@ def _solve_residues(basis: np.ndarray, targets: np.ndarray, m: int,
     return coef[:m, :] + 1j * coef[m:, :]
 
 
+def _residues_and_error(x: np.ndarray, F: np.ndarray, x_val: np.ndarray,
+                        F_val: np.ndarray, poles: np.ndarray,
+                        weights: np.ndarray | None = None):
+    """Least-squares residues at fixed ``poles`` on the training grid ``x``
+    and their max abs error on the validation grid; returns (error, residues)."""
+    alpha = _solve_residues(_pair_basis(x, poles), F, poles.size, weights=weights)
+    r = 1.0 / (x_val[:, None] - poles[None, :])
+    return np.max(np.abs(2.0 * np.real(r @ alpha) - F_val.T)), alpha
+
+
 def _relocate_poles(poles: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """New poles = zeros of 1 + sum_i (c_i, d_i)-weighted pair basis.
 
@@ -323,14 +333,7 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         poles = _initial_poles(times, m)
 
     stats = FitStats()
-
-    def validation_error(p):
-        alpha = _solve_residues(_pair_basis(x, p), F, m, weights=res_weights)
-        r = 1.0 / (x_val[:, None] - p[None, :])
-        err = np.max(np.abs(2.0 * np.real(r @ alpha) - F_val.T))
-        return err, alpha
-
-    best_err, best_alpha = validation_error(poles)
+    best_err, best_alpha = _residues_and_error(x, F, x_val, F_val, poles, res_weights)
     best_poles = poles.copy()
     converged = False
     stall = 0
@@ -365,7 +368,7 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         move = np.max(np.abs(new_poles - old_sorted) / np.maximum(np.abs(old_sorted), 1e-300))
         poles = new_poles
 
-        err, alpha = validation_error(poles)
+        err, alpha = _residues_and_error(x, F, x_val, F_val, poles, res_weights)
         if err < best_err:
             best_err, best_alpha, best_poles = err, alpha, poles.copy()
             stall = 0
@@ -434,19 +437,6 @@ def fit_pole_sweep(channels: TimeChannels, spectral_interval, pole_counts,
     return out
 
 
-def _refit_at_poles(channels, spectral_interval, poles, cfg) -> RationalApproximant:
-    x = _training_grid(tuple(spectral_interval), channels.times[0], cfg.n_log, cfg.n_lin)
-    F = np.exp(-np.outer(channels.times, x))
-    alpha = _solve_residues(_pair_basis(x, poles), F, poles.size)
-    x_val = _validation_grid(tuple(spectral_interval), channels.times[0], 2001)
-    F_val = np.exp(-np.outer(channels.times, x_val))
-    r = 1.0 / (x_val[:, None] - poles[None, :])
-    err = float(np.max(np.abs(2.0 * np.real(r @ alpha) - F_val.T)))
-    return RationalApproximant(poles=poles, residues=alpha,
-                               spectral_interval=tuple(spectral_interval),
-                               fit_error=err, channels=channels)
-
-
 def refit_residues(approx: RationalApproximant, channels: TimeChannels,
                    fit_cfg: FitConfig | None = None) -> RationalApproximant:
     """Re-solve the residues for new time channels, keeping the poles.
@@ -457,7 +447,14 @@ def refit_residues(approx: RationalApproximant, channels: TimeChannels,
     cfg = fit_cfg or FitConfig()
     if channels.count == 0:
         raise ValueError("channels must be nonempty")
-    return _refit_at_poles(channels, approx.spectral_interval, approx.poles, cfg)
+    interval, times = approx.spectral_interval, channels.times
+    x = _training_grid(interval, times[0], cfg.n_log, cfg.n_lin)
+    x_val = _validation_grid(interval, times[0], 2001)
+    err, alpha = _residues_and_error(x, np.exp(-np.outer(times, x)), x_val,
+                                     np.exp(-np.outer(times, x_val)), approx.poles)
+    return RationalApproximant(poles=approx.poles, residues=alpha,
+                               spectral_interval=interval,
+                               fit_error=float(err), channels=channels)
 
 
 def validate_fit(approx: RationalApproximant, grid_size: int) -> FitReport:

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .mesh import Grid, Model
 
-__all__ = ["RegOperator", "build_reg", "reg_value_grad", "apply_sqrt", "apply_sqrt_t"]
+__all__ = ["RegOperator", "build_reg", "reg_value_grad"]
 
 
 @dataclass
@@ -73,13 +73,3 @@ def reg_value_grad(reg: RegOperator, model: Model):
     r = model.m - model.m_ref
     Lr = reg.L @ r
     return 0.5 * float(r @ Lr), Lr
-
-
-def apply_sqrt(reg: RegOperator, x: np.ndarray) -> np.ndarray:
-    """R x, so that |R x|^2 = x^T L x."""
-    return reg.R_factor @ x
-
-
-def apply_sqrt_t(reg: RegOperator, y: np.ndarray) -> np.ndarray:
-    """R^T y, the adjoint of apply_sqrt."""
-    return reg.R_factor.T @ y

@@ -14,8 +14,7 @@ import numpy as np
 from .inversion import InversionState
 from .mesh import Model, Problem
 from .rba import RationalApproximant
-from .shifted import (PoleWorkerPool, ShiftedFactorCache, factorize_all_poles,
-                      resolve_with_cache)
+from .shifted import PoleWorkerPool, ShiftedFactorCache, factorize_all_poles
 from .synthetic import DataSet
 
 __all__ = [
@@ -106,7 +105,7 @@ def scaling_benchmark(problem: Problem, model: Model, approx: RationalApproximan
             t0 = time.perf_counter()
             for _ in range(solve_repeats):
                 g = np.array(pool.map_poles(
-                    lambda i: resolve_with_cache(cache, i, rhs), approx.pole_count))
+                    lambda i: cache.solve(i, rhs), approx.pole_count))
             t_solve = (time.perf_counter() - t0) / solve_repeats
 
         total = t_fact + t_solve

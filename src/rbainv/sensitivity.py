@@ -96,19 +96,6 @@ class JacobianOperator:
             out += 2.0 * np.real(approx.poles[i] * parts[i])
         return out
 
-    def vjp_per_channel(self, w: np.ndarray) -> np.ndarray:
-        """Naive adjoint with one solve per (channel, pole); test oracle for
-        the aggregated implementation."""
-        self._check_current()
-        W = np.asarray(w, dtype=float).reshape(self.approx.channels.count, -1)
-        approx = self.approx
-        out = np.zeros(self.shape[1])
-        for i in range(approx.pole_count):
-            for j in range(approx.channels.count):
-                z = self.cache.solve(i, self.problem.Q.T @ W[j].astype(complex), trans="T")
-                out += 2.0 * np.real(approx.poles[i] * approx.residues[i, j] * (self.dM[i].T @ z))
-        return out
-
     def dense(self) -> np.ndarray:
         """Column-by-column assembly through jvp; small problems only."""
         P = self.shape[1]

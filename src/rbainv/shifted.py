@@ -12,7 +12,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -28,7 +27,6 @@ __all__ = [
     "default_worker_count",
     "factorize_all_poles",
     "solve_all_poles",
-    "resolve_with_cache",
 ]
 
 
@@ -41,22 +39,16 @@ class SolveError(RuntimeError):
 
 
 class _Factor:
-    """Direct complex factorization of one shifted matrix."""
+    """Sparse direct (SuperLU) complex factorization of one shifted matrix."""
 
-    def __init__(self, A: sp.spmatrix, backend: str):
+    def __init__(self, A: sp.spmatrix):
         self.A = A.tocsr()
-        self.backend = backend
         try:
-            if backend == "dense":
-                self._lu = la.lu_factor(A.toarray())
-            else:
-                self._lu = spla.splu(A.tocsc())
-        except Exception as exc:  # noqa: BLE001 - surface backend failures uniformly
+            self._lu = spla.splu(A.tocsc())
+        except Exception as exc:  # noqa: BLE001 - surface SuperLU failures uniformly
             raise SolveError(f"factorization of shifted matrix failed: {exc}") from exc
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        if self.backend == "dense":
-            return la.lu_solve(self._lu, rhs, trans={"N": 0, "T": 1, "H": 2}[trans])
         return self._lu.solve(rhs, trans=trans)
 
 
@@ -77,10 +69,7 @@ class ShiftedFactorCache:
     so pole workers can run concurrently.
     """
 
-    def __init__(self, backend: str = "sparse"):
-        if backend not in ("sparse", "dense"):
-            raise ValueError("backend must be 'sparse' or 'dense'")
-        self.backend = backend
+    def __init__(self):
         self.entries: dict[tuple[int, str], _Factor] = {}
         self.counters = CacheCounters()
         self.current_tag: str | None = None
@@ -98,7 +87,7 @@ class ShiftedFactorCache:
         key = (i, self.current_tag)
         if key in self.entries:
             return
-        factor = _Factor(A, self.backend)
+        factor = _Factor(A)
         with self._lock:
             self.entries[key] = factor
             self.counters.factorizations += 1
@@ -163,10 +152,3 @@ def solve_all_poles(problem: Problem, model: Model, approx: RationalApproximant,
         return g
 
     return np.array(pool.map_poles(work, approx.pole_count))
-
-
-def resolve_with_cache(cache: ShiftedFactorCache, i: int, rhs: np.ndarray,
-                       trans: str = "N") -> np.ndarray:
-    """Extra solve against an existing factorization; raises CacheMissError
-    if the caller has not factorized this pole for the current model."""
-    return cache.solve(i, rhs, trans=trans)

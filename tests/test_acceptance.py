@@ -142,10 +142,8 @@ def test_criterion_5_lsqr_vs_normal_equations():
     lam = 5.0
     opr = rb.JacobianOperator(prob, model, ap, cache)
     d_pred, _ = rb.response_from_pole_solutions(prob, ap, opr.g)
-    state = rb.InversionState(model=model, lam=lam)
-    dm, _ = rb.gn_step(state, prob, ap, reg, data, cache,
-                       rb.LsqrConfig(tol=1e-14, max_iters=3000),
-                       opr=opr, d_pred=d_pred)
+    dm, _, _ = rb.gn_step(opr, reg, data, d_pred, model, lam,
+                          rb.LsqrConfig(tol=1e-14, max_iters=3000))
     J = opr.dense()
     W2 = np.diag(data.weights ** 2)
     L = reg.L.toarray()

@@ -149,6 +149,19 @@ def test_bad_workers_option_is_a_usage_error(workdir, capsys, value):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "1,x"])
+def test_bad_bench_scaling_workers_is_a_usage_error(workdir, capsys, value):
+    out = workdir / "scaling_bad.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench-scaling", "--problem", str(workdir / "problem.ini"),
+              "--approx", str(workdir / "approx.json"),
+              "--workers", value, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--workers" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field,message", [("times", "times"), ("receivers", "receivers")])
 def test_invert_rejects_mismatched_inputs(workdir, capsys, field, message):
     problem = rb.build_problem(rb.parse_problem_file(workdir / "problem.ini"))

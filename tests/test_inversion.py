@@ -46,8 +46,9 @@ def test_gn_step_zero_residual_zero_update(tiny_setup):
                          times=ap.channels.times, receivers=prob.receivers,
                          eps_r=0.0, eps_a=0.1, seed=0, provenance={})
     reg = rb.build_reg(prob.grid)
-    state = rb.InversionState(model=model, lam=1.0)
-    dm, iters = rb.gn_step(state, prob, ap, reg, perfect, cache)
+    opr = rb.JacobianOperator(prob, model, ap, cache)
+    d_pred, _ = rb.response_from_pole_solutions(prob, ap, opr.g)
+    dm, iters, _ = rb.gn_step(opr, reg, perfect, d_pred, model, 1.0)
     assert np.allclose(dm, 0.0)
 
 
@@ -59,10 +60,8 @@ def test_gn_step_matches_normal_equations(tiny_setup):
     lam = 5.0
     opr = rb.JacobianOperator(prob, model, ap, cache)
     d_pred, _ = rb.response_from_pole_solutions(prob, ap, opr.g)
-    state = rb.InversionState(model=model, lam=lam)
-    dm, iters = rb.gn_step(state, prob, ap, reg, data, cache,
-                           rb.LsqrConfig(tol=1e-14, max_iters=3000), opr=opr,
-                           d_pred=d_pred)
+    dm, iters, _ = rb.gn_step(opr, reg, data, d_pred, model, lam,
+                              rb.LsqrConfig(tol=1e-14, max_iters=3000))
     J = opr.dense()
     W2 = np.diag(data.weights ** 2)
     L = reg.L.toarray()
@@ -78,9 +77,10 @@ def test_gn_step_large_lambda_regularization_dominated(tiny_setup):
     start = rb.Model(ref.m + 0.3, ref.m_ref)
     reg = rb.build_reg(prob.grid)
     cache = rb.ShiftedFactorCache()
-    state = rb.InversionState(model=start, lam=1e14)
-    dm, _ = rb.gn_step(state, prob, ap, reg, data, cache,
-                       rb.LsqrConfig(tol=1e-12, max_iters=2000))
+    opr = rb.JacobianOperator(prob, start, ap, cache)
+    d_pred, _ = rb.response_from_pole_solutions(prob, ap, opr.g)
+    dm, _, _ = rb.gn_step(opr, reg, data, d_pred, start, 1e14,
+                          rb.LsqrConfig(tol=1e-12, max_iters=2000))
     target = start.m_ref - start.m
     cos = (dm @ target) / (np.linalg.norm(dm) * np.linalg.norm(target))
     assert cos > 0.999
@@ -211,7 +211,7 @@ def test_divergence_guard_aborts(tiny_setup, monkeypatch):
         phi = evaluator(1.0)
         return rb.LineSearchResult(1.0, True, phi, 1)
 
-    monkeypatch.setattr(inv_mod, "_augmented_lsqr", bad_lsqr)
+    monkeypatch.setattr(inv_mod, "gn_step", bad_lsqr)
     monkeypatch.setattr(inv_mod, "line_search", always_accept)
     state = rb.run_inversion(prob, data, ap, rb.InversionConfig(lambda0=1.0, max_gn=20))
     assert "divergence guard" in state.diagnostic
@@ -293,6 +293,20 @@ def test_accepted_path_counter_laws(tiny_setup):
     state = rb.run_inversion(prob, data, ap, rb.InversionConfig(lambda0=50.0, max_gn=6))
     assert all(r.accepted for r in state.history)
     assert_counter_laws(state, ap.pole_count)
+
+
+@pytest.mark.parametrize("cfg,diagnostic", [
+    (rb.InversionConfig(lambda0=50.0, max_gn=6), "max Gauss-Newton iterations"),
+    (rb.InversionConfig(lambda0=50.0, chi2_target=5.0), "chi2 target reached"),
+])
+def test_returned_prediction_is_final_models(tiny_setup, cfg, diagnostic):
+    prob, ap, data = tiny_setup
+    cache = rb.ShiftedFactorCache()
+    state = rb.run_inversion(prob, data, ap, cfg, cache)
+    assert state.diagnostic == diagnostic
+    assert state.history and state.history[-1].accepted
+    np.testing.assert_array_equal(
+        state.d_pred, rb.forward_response(prob, state.model, ap, cache).data)
 
 
 def test_back_to_back_inversions_leave_no_threads(tiny_setup):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 import rbainv as rb
 from rbainv.shifted import CacheMissError, SolveError, _Factor
@@ -62,8 +63,8 @@ def test_resolve_repeat_is_bitwise_and_counts(small_problem, small_approx):
     rb.factorize_all_poles(small_problem, model, small_approx, cache)
     before = cache.counters.snapshot()
     rhs = np.arange(small_problem.dof_count, dtype=complex)
-    a = rb.resolve_with_cache(cache, 3, rhs)
-    b = rb.resolve_with_cache(cache, 3, rhs)
+    a = cache.solve(3, rhs)
+    b = cache.solve(3, rhs)
     after = cache.counters.snapshot()
     np.testing.assert_array_equal(a, b)
     assert after["solves"] - before["solves"] == 2
@@ -77,7 +78,7 @@ def test_resolve_constructed_solution(small_problem, small_approx):
     rng = np.random.default_rng(0)
     x = rng.standard_normal(small_problem.dof_count) + 1j * rng.standard_normal(small_problem.dof_count)
     A = cache.matrix(2)
-    got = rb.resolve_with_cache(cache, 2, A @ x)
+    got = cache.solve(2, A @ x)
     assert np.linalg.norm(got - x) / np.linalg.norm(x) <= 1e-8
 
 
@@ -87,12 +88,12 @@ def test_resolve_conjugated_rhs(small_problem, small_approx):
     rb.factorize_all_poles(small_problem, model, small_approx, cache)
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal(small_problem.dof_count) + 1j * rng.standard_normal(small_problem.dof_count)
-    x = rb.resolve_with_cache(cache, 0, rhs)
-    x_conj = rb.resolve_with_cache(cache, 0, rhs.conj())
+    x = cache.solve(0, rhs)
+    x_conj = cache.solve(0, rhs.conj())
     # A is fixed (not conjugated), so conj of rhs gives A^{-1} conj(rhs); by
     # linearity over C the two solutions relate through the real/imag split
-    re = rb.resolve_with_cache(cache, 0, rhs.real.astype(complex))
-    im = rb.resolve_with_cache(cache, 0, (1j * rhs.imag).astype(complex))
+    re = cache.solve(0, rhs.real.astype(complex))
+    im = cache.solve(0, (1j * rhs.imag).astype(complex))
     np.testing.assert_allclose(x, re + im, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(x_conj, re - im, rtol=1e-10, atol=1e-12)
 
@@ -101,7 +102,7 @@ def test_cache_miss_raises(small_problem, small_approx):
     cache = rb.ShiftedFactorCache()
     cache.activate(small_problem.reference_model().version_tag())
     with pytest.raises(CacheMissError):
-        rb.resolve_with_cache(cache, 0, np.zeros(small_problem.dof_count, complex))
+        cache.solve(0, np.zeros(small_problem.dof_count, complex))
 
 
 def test_model_version_invalidates_entries(small_problem, small_approx):
@@ -137,7 +138,7 @@ def test_factorization_count_law(small_problem, small_approx):
     # more solves, same model: no new factorizations
     rb.solve_all_poles(small_problem, model, small_approx, small_problem.f, cache)
     for i in range(m):
-        rb.resolve_with_cache(cache, i, small_problem.f.astype(complex))
+        cache.solve(i, small_problem.f.astype(complex))
     assert cache.counters.factorizations == m
     # channel count plays no role: same poles, doubled channels
     doubled = rb.refit_residues(small_approx, rb.TimeChannels.logspaced(1e-6, 1e-3, 14))
@@ -148,10 +149,10 @@ def test_factorization_count_law(small_problem, small_approx):
 def test_dense_backend_matches_sparse(problem_1d):
     ap = tiny_approx([1.0 + 2.0j, -3.0 + 1.0j])
     model = problem_1d.reference_model()
-    g_sparse = rb.solve_all_poles(problem_1d, model, ap, problem_1d.f,
-                                  rb.ShiftedFactorCache("sparse"))
-    g_dense = rb.solve_all_poles(problem_1d, model, ap, problem_1d.f,
-                                 rb.ShiftedFactorCache("dense"))
+    cache = rb.ShiftedFactorCache()
+    g_sparse = rb.solve_all_poles(problem_1d, model, ap, problem_1d.f, cache)
+    rhs = problem_1d.f.astype(complex)
+    g_dense = [la.solve(cache.matrix(i).toarray(), rhs) for i in range(ap.pole_count)]
     np.testing.assert_allclose(g_sparse, g_dense, rtol=1e-12)
 
 
@@ -170,13 +171,8 @@ def test_transpose_solve_consistency(small_problem, small_approx):
 def test_singular_shift_guarded():
     prob = scalar_problem()
     # a real pole equal to the generalized eigenvalue makes A exactly singular;
-    # the factor backend must surface it as SolveError rather than nonsense
+    # the factorization must surface it as SolveError rather than nonsense
     k, mu = 2.0, 2.0 / 3.0
     A = prob.K.astype(complex) - (k / mu) * rb.assemble_M(prob, prob.reference_model()).astype(complex)
     with pytest.raises(SolveError):
-        _Factor(A.tocsc(), "sparse")
-
-
-def test_bad_backend_rejected():
-    with pytest.raises(ValueError):
-        rb.ShiftedFactorCache("magic")
+        _Factor(A.tocsc())
