@@ -13,11 +13,7 @@ independent of the number of time channels.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -293,53 +289,6 @@ def _initial_poles(times: np.ndarray, m: int) -> np.ndarray:
     return -im / 100.0 + 1j * im
 
 
-_BLAS_THREAD_FUNCS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-def _numpy_openblas():
-    """(get, set) thread-count functions of the OpenBLAS bundled with the
-    numpy wheel, or None when numpy uses another BLAS."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for get_name, set_name in _BLAS_THREAD_FUNCS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                return getattr(lib, get_name), getattr(lib, set_name)
-    return None
-
-
-_OPENBLAS = _numpy_openblas()
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with one BLAS thread and restore the count afterwards.
-
-    For the fit's per-channel QRs (G x 4m, G ~ 2000, m ~ 20) BLAS threads
-    only add overhead: one iteration of the 31-channel fit takes 348 ms
-    with one OpenBLAS thread against 722 ms with two on a 2-core VM.
-    Householder QR and the Q^T b products give the same bits for one and
-    two threads, so the fit's output does not change; its least-squares
-    and eigenvalue solves, whose bits do depend on the thread count, run
-    outside this block.  The count is process-wide: BLAS calls that other
-    threads make meanwhile also run on one thread.
-    """
-    if _OPENBLAS is None:
-        yield
-        return
-    get_threads, set_threads = _OPENBLAS
-    previous = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(previous)
-
-
 def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
                     fit_cfg: FitConfig | None = None,
                     pool: PoleWorkerPool | None = None) -> RationalApproximant:
@@ -401,11 +350,9 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         # pages back to the OS and fault them in again for the next channel
         # (3-4x the page faults and 10-30% more time per pass, measured at
         # G=2000, m=21, 31 channels on a 2-core VM)
-        with _one_blas_thread():
-            QR = pool.map_poles(channel_qr, times.size)
-            bb = np.concatenate([Q[:, 2 * m:].T @ (w[j] * F[j])
-                                 for j, (Q, _) in enumerate(QR)])
+        QR = pool.map_poles(channel_qr, times.size)
         AA = np.vstack([R[2 * m:, 2 * m:] for _, R in QR])
+        bb = np.concatenate([Q[:, 2 * m:].T @ (w[j] * F[j]) for j, (Q, _) in enumerate(QR)])
         del QR
         col = np.linalg.norm(AA, axis=0)
         col[col == 0] = 1.0

@@ -193,21 +193,3 @@ def test_fit_bit_identical_for_any_worker_count(relative):
         assert np.array_equal(fit.residues, serial.residues)
         assert fit.fit_error == serial.fit_error
         assert fit.iterations == serial.iterations
-
-
-def test_one_blas_thread_keeps_qr_bits_and_restores_count():
-    from rbainv.rba import _OPENBLAS, _one_blas_thread
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((2000, 84))
-    b = rng.standard_normal(2000)
-    Q, R = np.linalg.qr(A, mode="reduced")
-    before = _OPENBLAS[0]() if _OPENBLAS else None
-    with _one_blas_thread():
-        if _OPENBLAS:
-            assert _OPENBLAS[0]() == 1
-        Q1, R1 = np.linalg.qr(A, mode="reduced")
-        qb1 = Q1[:, 42:].T @ b
-    assert np.array_equal(Q1, Q) and np.array_equal(R1, R)
-    assert np.array_equal(qb1, Q[:, 42:].T @ b)
-    if _OPENBLAS:
-        assert _OPENBLAS[0]() == before
