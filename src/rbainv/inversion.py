@@ -192,11 +192,15 @@ def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
                   cfg: InversionConfig | None = None,
                   cache: ShiftedFactorCache | None = None) -> InversionState:
     """Full Gauss-Newton loop with cooling; history rows carry everything
-    needed to replay the objective and the Armijo bookkeeping."""
+    needed to replay the objective and the Armijo bookkeeping.  ``cache`` is
+    cleared on return: its factors were made on this run's pool threads."""
     cfg = cfg or InversionConfig()
     cache = cache or ShiftedFactorCache()
     with PoleWorkerPool(cfg.workers) as pool:
-        return _gauss_newton(problem, data, approx, cfg, cache, pool)
+        try:
+            return _gauss_newton(problem, data, approx, cfg, cache, pool)
+        finally:
+            cache.clear(pool)
 
 
 def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
@@ -251,7 +255,7 @@ def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
         ls = line_search(phi, slope, phi_eval, c1=cfg.c1, eta_min=cfg.eta_min,
                          quad_refine=cfg.quad_refine)
         if not ls.accepted:
-            # the trials evicted the factors of the model the next operator is built at
+            # the trials replaced the factors of the model the next operator is built at
             factorize_all_poles(problem, model, approx, cache, pool)
         wall_ms = (time.perf_counter() - t0) * 1e3
         counters1 = cache.counters.snapshot()

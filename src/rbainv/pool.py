@@ -39,23 +39,30 @@ class PoleWorkerPool:
     Worker p owns indices {i : i mod W == p} and processes them in
     ascending order; results land in an index-ordered list, so the gathered
     output never depends on the worker count.  The calling thread is
-    worker 0.  Workers 1..W-1 are threads of one executor, created on first
-    use and kept until `close()` (or garbage collection), so a call starts
-    no threads once the pool is warm and never more than it has tasks.
-    ``fn`` must not call `map_poles` on the same pool.
+    worker 0.  Each worker p >= 1 is one dedicated thread, started on its
+    first task and kept until `close()` (or garbage collection), so subset p
+    runs on the same thread in every call, a warm pool starts no threads,
+    and a call never starts more threads than it has tasks.  Native state
+    that must be released on the thread that made it (SuperLU factors) can
+    therefore be owned by index.  ``fn`` must not call `map_poles` on the
+    same pool.
     """
 
     def __init__(self, workers: int = 1):
-        self.workers = max(1, int(workers))
-        self._executor: ThreadPoolExecutor | None = None
+        self.workers = int(workers)
+        if self.workers < 1:
+            raise ValueError(f"worker count must be >= 1, got {workers!r}")
+        self._executors: dict[int, ThreadPoolExecutor] = {}
         self._finalizer = None
 
-    def _submit(self, fn, *args):
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.workers - 1,
-                                                thread_name_prefix="rbainv-worker")
-            self._finalizer = weakref.finalize(self, self._executor.shutdown, wait=False)
-        return self._executor.submit(fn, *args)
+    def _worker(self, p: int) -> ThreadPoolExecutor:
+        """Worker p's one-thread executor, started on first use."""
+        if self._finalizer is None:
+            self._finalizer = weakref.finalize(self, _shutdown, self._executors, False)
+        if p not in self._executors:
+            self._executors[p] = ThreadPoolExecutor(max_workers=1,
+                                                    thread_name_prefix=f"rbainv-worker-{p}")
+        return self._executors[p]
 
     def map_poles(self, fn, count: int) -> list:
         results = [None] * count
@@ -64,7 +71,8 @@ class PoleWorkerPool:
             for i in range(p, count, self.workers):
                 results[i] = fn(i)
 
-        futures = [self._submit(run_subset, p) for p in range(1, min(self.workers, count))]
+        futures = [self._worker(p).submit(run_subset, p)
+                   for p in range(1, min(self.workers, count))]
         try:
             run_subset(0)
         finally:
@@ -75,13 +83,19 @@ class PoleWorkerPool:
 
     def close(self) -> None:
         """Stop and join the worker threads; a later call starts new ones."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
+        if self._finalizer is not None:
             self._finalizer.detach()
-            executor.shutdown(wait=True)
+            self._finalizer = None
+            _shutdown(self._executors, True)
 
     def __enter__(self) -> "PoleWorkerPool":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _shutdown(executors: dict, join: bool) -> None:
+    for executor in executors.values():
+        executor.shutdown(wait=join)
+    executors.clear()

@@ -15,8 +15,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf
 
 from .mesh import Grid, Model
 
@@ -62,7 +62,11 @@ def build_reg(grid: Grid) -> RegOperator:
     anchor_eps = 1e-8 * (L_div.diagonal().sum() / P if F else 1.0)
     L = (L_div + anchor_eps * sp.diags(grid.cell_measure)).tocsr()
 
-    R_dense = la.cholesky(L.toarray(), lower=False)
+    # factor in place in a Fortran-ordered copy: one dense P x P transient
+    R_dense, info = dpotrf(L.toarray(order="F"), lower=0, clean=1, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"regularization matrix is not positive definite "
+                                    f"(dpotrf info {info})")
     R_factor = sp.csr_matrix(R_dense)
     return RegOperator(D=D, Mdiv_lumped=mdiv, L=L, L_div=L_div,
                        R_factor=R_factor, anchor_eps=anchor_eps)

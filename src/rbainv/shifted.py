@@ -62,70 +62,80 @@ class CacheCounters:
 
 
 class ShiftedFactorCache:
-    """Keyed store of factorizations of A_i(m), one live model version.
+    """One factorization of A_i(m) per pole, tagged with its model version.
 
-    Entries are keyed by (pole index, model version tag); activating a new
-    tag invalidates every entry of older tags.  Counter updates are locked
-    so pole workers can run concurrently.
+    `activate` moves the current tag and frees nothing: a pole's stale
+    factor is dropped by `factorize` when that pole is refactorized, or by
+    `clear`.  Both run on the pool worker that owns the pole, because
+    SuperLU frees a factor only on the thread that made it; a factor whose
+    last reference goes on another thread is never freed.  So use a cache
+    with one pool, and `clear` it on that pool before the pool closes.
+    Counter updates are locked so pole workers can run concurrently.
     """
 
     def __init__(self):
-        self.entries: dict[tuple[int, str], _Factor] = {}
+        self.entries: dict[int, tuple[str | None, _Factor]] = {}
         self.counters = CacheCounters()
         self.current_tag: str | None = None
         self._lock = threading.Lock()
 
     def activate(self, tag: str) -> None:
-        if tag != self.current_tag:
-            self.entries = {k: v for k, v in self.entries.items() if k[1] == tag}
-            self.current_tag = tag
+        self.current_tag = tag
 
     def has(self, i: int, tag: str | None = None) -> bool:
-        return (i, tag or self.current_tag) in self.entries
+        entry = self.entries.get(i)
+        return entry is not None and entry[0] == (tag or self.current_tag)
 
     def factorize(self, i: int, A: sp.spmatrix) -> None:
-        key = (i, self.current_tag)
-        if key in self.entries:
+        if self.has(i):
             return
+        self.entries.pop(i, None)      # free the stale factor before making the next
         factor = _Factor(A)
         with self._lock:
-            self.entries[key] = factor
+            self.entries[i] = (self.current_tag, factor)
             self.counters.factorizations += 1
 
-    def solve(self, i: int, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        key = (i, self.current_tag)
-        try:
-            factor = self.entries[key]
-        except KeyError:
+    def clear(self, pool: PoleWorkerPool) -> None:
+        """Drop every factor on the worker of ``pool`` that owns its pole."""
+        def drop(i: int) -> None:
+            self.entries.pop(i, None)
+
+        pool.map_poles(drop, max(self.entries, default=-1) + 1)
+
+    def _factor(self, i: int) -> _Factor:
+        if not self.has(i):
             raise CacheMissError(f"no factorization for pole {i}, model {self.current_tag}")
-        out = factor.solve(np.asarray(rhs, dtype=complex), trans=trans)
+        return self.entries[i][1]
+
+    def solve(self, i: int, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        out = self._factor(i).solve(np.asarray(rhs, dtype=complex), trans=trans)
         with self._lock:
             self.counters.solves += 1
         return out
 
     def matrix(self, i: int) -> sp.spmatrix:
-        key = (i, self.current_tag)
-        if key not in self.entries:
-            raise CacheMissError(f"no factorization for pole {i}, model {self.current_tag}")
-        return self.entries[key].A
+        return self._factor(i).A
 
 
 def factorize_all_poles(problem: Problem, model: Model, approx: RationalApproximant,
                         cache: ShiftedFactorCache, pool: PoleWorkerPool | None = None) -> None:
-    """Ensure every A_i = K - xi_i M(m) is factorized for the current model."""
+    """Ensure every A_i = K - xi_i M(m) is factorized for the current model.
+
+    Maps over every pole, not only the missing ones, so that pole i is
+    (re)factorized on the worker that owns it and made its stale factor.
+    """
     pool = pool or PoleWorkerPool(1)
     cache.activate(model.version_tag())
-    missing = [i for i in range(approx.pole_count) if not cache.has(i)]
-    if not missing:
+    if all(cache.has(i) for i in range(approx.pole_count)):
         return
     M = assemble_M(problem, model).astype(complex).tocsc()
     K = problem.K.astype(complex).tocsc()
 
-    def work(j: int):
-        i = missing[j]
-        cache.factorize(i, K - approx.poles[i] * M)
+    def work(i: int):
+        if not cache.has(i):
+            cache.factorize(i, K - approx.poles[i] * M)
 
-    pool.map_poles(work, len(missing))
+    pool.map_poles(work, approx.pole_count)
 
 
 def solve_all_poles(problem: Problem, model: Model, approx: RationalApproximant,

@@ -1,7 +1,11 @@
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
 import rbainv as rb
+from rbainv import shifted
 
 
 def receiver_grid(lo, hi, n):
@@ -93,3 +97,26 @@ def in_box(points, box):
     if points.shape[1] == 2:
         ok &= (points[:, 1] >= box[2]) & (points[:, 1] <= box[3])
     return ok
+
+
+@pytest.fixture
+def factor_threads(monkeypatch):
+    """[making thread, freeing thread] of every SuperLU factor made while the
+    fixture is active; the freeing thread stays None until the factor is
+    freed.  SuperLU frees a factor's memory only on the thread that made it."""
+    records = []
+    make = shifted._Factor.__init__
+
+    def recording_init(self, A):
+        make(self, A)
+        record = [threading.get_ident(), None]
+        records.append(record)
+        weakref.finalize(self, lambda: record.__setitem__(1, threading.get_ident()))
+
+    monkeypatch.setattr(shifted._Factor, "__init__", recording_init)
+    return records
+
+
+def assert_freed_where_made(records):
+    assert any(made != threading.get_ident() for made, _ in records), "no worker made a factor"
+    assert all(freed == made for made, freed in records)

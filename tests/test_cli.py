@@ -4,6 +4,7 @@ import json
 import pytest
 
 import rbainv as rb
+from conftest import assert_freed_where_made
 from rbainv.cli import main
 
 PROBLEM_INI = """
@@ -106,6 +107,17 @@ def test_bench_scaling_subcommand(workdir):
     rows = json.loads(out.read_text())
     assert [r["workers"] for r in rows] == [1, 2]
     assert len({r["checksum"] for r in rows}) == 1
+
+
+@pytest.mark.parametrize("W", [2, 3, 4])
+@pytest.mark.parametrize("command", ["forward", "verify"])
+def test_commands_free_every_factor_on_the_thread_that_made_it(workdir, factor_threads,
+                                                               command, W):
+    rc = main([command, "--problem", str(workdir / "problem.ini"), "--model", "true",
+               "--approx", str(workdir / "approx.json"), "--workers", str(W),
+               "--out", str(workdir / f"{command}_w{W}.json")])
+    assert rc == 0
+    assert_freed_where_made(factor_threads)
 
 
 def fit_args(workdir):

@@ -39,6 +39,26 @@ def test_results_in_index_order_and_owned_by_subset():
     assert subsets[0][0][0] == threading.get_ident()
 
 
+@pytest.mark.parametrize("W", [2, 3, 4])
+def test_subset_runs_on_the_same_thread_in_every_call(W):
+    # SuperLU factors must be freed on the thread that made them, so pole
+    # ownership is a thread affinity, whatever the task count of a call
+    owner = {}
+    with PoleWorkerPool(W) as pool:
+        for count in [3 * W + 1, W, 2, 5 * W, W + 1] * 4:
+            for i, thread in enumerate(pool.map_poles(lambda i: threading.get_ident(), count)):
+                owner.setdefault(i % W, set()).add(thread)
+    assert all(len(threads) == 1 for threads in owner.values())
+    assert owner[0] == {threading.get_ident()}
+    assert len(set.union(*owner.values())) == W
+
+
+@pytest.mark.parametrize("W", [0, -1])
+def test_worker_count_below_one_rejected(W):
+    with pytest.raises(ValueError, match="worker count"):
+        PoleWorkerPool(W)
+
+
 def test_threads_reused_across_calls():
     before = _worker_threads()
     with PoleWorkerPool(2) as pool:

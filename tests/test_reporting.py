@@ -55,6 +55,11 @@ def test_scaling_benchmark(small_problem, small_approx):
         assert r["factorize_ms"] > 0 and r["solve_ms"] > 0
 
 
+def test_scaling_benchmark_rejects_worker_count_below_one(small_problem, small_approx):
+    with pytest.raises(ValueError, match="worker count"):
+        rb.scaling_benchmark(small_problem, small_problem.true_model(), small_approx, [0])
+
+
 def test_pole_solution_checksum_sensitivity():
     g = np.ones((3, 4), complex)
     h = g.copy()

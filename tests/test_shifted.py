@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as la
 
 import rbainv as rb
+from conftest import assert_freed_where_made
 from rbainv.shifted import CacheMissError, SolveError, _Factor
 
 
@@ -176,3 +177,47 @@ def test_singular_shift_guarded():
     A = prob.K.astype(complex) - (k / mu) * rb.assemble_M(prob, prob.reference_model()).astype(complex)
     with pytest.raises(SolveError):
         _Factor(A.tocsc())
+
+
+@pytest.mark.parametrize("W", [2, 3, 4])
+def test_inversion_frees_every_factor_on_the_thread_that_made_it(
+        small_problem, small_approx, factor_threads, W):
+    data = rb.make_dataset(small_problem, small_problem.true_model(), small_approx,
+                           rb.NoiseSpec(seed=3))
+    del factor_threads[:]
+    rb.run_inversion(small_problem, data, small_approx,
+                     rb.InversionConfig(lambda0=50.0, max_gn=2, workers=W))
+    assert_freed_where_made(factor_threads)
+
+
+@pytest.mark.parametrize("W", [2, 3, 4])
+def test_scaling_benchmark_frees_every_factor_on_the_thread_that_made_it(
+        small_problem, small_approx, factor_threads, W):
+    rb.scaling_benchmark(small_problem, small_problem.true_model(), small_approx, [1, W])
+    assert_freed_where_made(factor_threads)
+
+
+@pytest.mark.parametrize("W", [2, 3])
+def test_functions_free_the_cache_they_make_on_the_callers_pool(
+        small_problem, small_approx, factor_threads, W):
+    model = small_problem.true_model()
+    with rb.PoleWorkerPool(W) as pool:
+        rb.make_dataset(small_problem, model, small_approx, rb.NoiseSpec(seed=1), pool=pool)
+        rb.taylor_test(small_problem, model, small_approx, np.ones(small_problem.grid.cell_count),
+                       10.0 ** -np.arange(1, 6), pool=pool)
+    assert_freed_where_made(factor_threads)
+
+
+def test_refactorization_replaces_stale_factor_on_its_owner(small_problem, small_approx,
+                                                            factor_threads):
+    cache = rb.ShiftedFactorCache()
+    ref = small_problem.reference_model()
+    with rb.PoleWorkerPool(3) as pool:
+        for k in range(3):
+            model = rb.Model(ref.m + 0.1 * k, ref.m_ref)
+            rb.factorize_all_poles(small_problem, model, small_approx, cache, pool)
+            # one live factor per pole: each stale one was freed by its maker
+            assert sum(freed is None for _, freed in factor_threads) == small_approx.pole_count
+        cache.clear(pool)
+    assert len(factor_threads) == 3 * small_approx.pole_count
+    assert_freed_where_made(factor_threads)
