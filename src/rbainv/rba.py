@@ -13,14 +13,8 @@ independent of the number of time channels.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import json
-import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -295,67 +289,6 @@ def _initial_poles(times: np.ndarray, m: int) -> np.ndarray:
     return -im / 100.0 + 1j * im
 
 
-_BLAS_THREAD_FUNCS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-_blas_lock = threading.Lock()
-_blas_pins = 0          # blocks currently inside _one_blas_thread
-_blas_saved = 0         # thread count to restore when the last block leaves
-
-
-@lru_cache(maxsize=None)
-def _numpy_openblas():
-    """(get, set) thread-count functions of the OpenBLAS bundled with the
-    numpy wheel, or None when numpy uses another BLAS or it cannot be loaded."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _BLAS_THREAD_FUNCS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                return getattr(lib, get_name), getattr(lib, set_name)
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with one BLAS thread, then restore the thread count.
-
-    For the fit's per-channel QRs (G x 4m, G ~ 2000, m ~ 20) BLAS threads
-    only add synchronization: a 2000 x 84 reduced QR takes 28 ms with two
-    OpenBLAS threads and 13 ms with one on a 2-core VM.  The QRs and the
-    Q^T b products give the same bits for any thread count, so the fit's
-    output does not change; its least-squares and eigenvalue solves, whose
-    bits do depend on the thread count, run outside the block.  OpenBLAS
-    keeps one process-wide count (its "local" setter is global too in
-    pthread builds), so overlapping blocks share one pin: the first sets
-    it, the last restores it, and BLAS calls that other threads make
-    meanwhile also run on one thread.
-    """
-    global _blas_pins, _blas_saved
-    blas = _numpy_openblas()
-    if blas is None:
-        yield
-        return
-    get_threads, set_threads = blas
-    with _blas_lock:
-        if _blas_pins == 0:
-            _blas_saved = get_threads()
-            set_threads(1)
-        _blas_pins += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_pins -= 1
-            if _blas_pins == 0:
-                set_threads(_blas_saved)
-
-
 def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
                     fit_cfg: FitConfig | None = None,
                     pool: PoleWorkerPool | None = None) -> RationalApproximant:
@@ -367,8 +300,8 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
     the returned poles always come from a final exact least-squares solve.
 
     The per-channel QR reductions of the denominator pass run on ``pool``
-    with one BLAS thread and are stacked in channel order, so the result is
-    bit-identical for any worker count.
+    and are stacked in channel order, so the result is bit-identical for
+    any worker count.
     """
     cfg = fit_cfg or FitConfig()
     pool = pool or PoleWorkerPool(1)
@@ -417,11 +350,9 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         # pages back to the OS and fault them in again for the next channel
         # (3-4x the page faults and 10-30% more time per pass, measured at
         # G=2000, m=21, 31 channels on a 2-core VM)
-        with _one_blas_thread():
-            QR = pool.map_poles(channel_qr, times.size)
-            bb = np.concatenate([Q[:, 2 * m:].T @ (w[j] * F[j])
-                                 for j, (Q, _) in enumerate(QR)])
+        QR = pool.map_poles(channel_qr, times.size)
         AA = np.vstack([R[2 * m:, 2 * m:] for _, R in QR])
+        bb = np.concatenate([Q[:, 2 * m:].T @ (w[j] * F[j]) for j, (Q, _) in enumerate(QR)])
         del QR
         col = np.linalg.norm(AA, axis=0)
         col[col == 0] = 1.0

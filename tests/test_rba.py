@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import rbainv as rb
-from rbainv import rba
 from rbainv.rba import FitConfig, PoleCollisionError, RationalApproximant
 
 
@@ -194,30 +193,3 @@ def test_fit_bit_identical_for_any_worker_count(relative):
         assert np.array_equal(fit.residues, serial.residues)
         assert fit.fit_error == serial.fit_error
         assert fit.iterations == serial.iterations
-
-
-@pytest.mark.parametrize("relative", [False, True])
-def test_fit_bit_identical_without_the_one_blas_thread_block(channels31, relative, monkeypatch):
-    cfg = FitConfig(max_iters=5, relative_weighting=relative)
-    pinned = rb.fit_common_pole(channels31, (0.0, 1e5), 6, cfg)
-    monkeypatch.setattr(rba, "_numpy_openblas", lambda: None)
-    free = rb.fit_common_pole(channels31, (0.0, 1e5), 6, cfg)
-    assert np.array_equal(pinned.poles, free.poles)
-    assert np.array_equal(pinned.residues, free.residues)
-    assert pinned.fit_error == free.fit_error
-
-
-def test_one_blas_thread_pins_and_restores_count():
-    blas = rba._numpy_openblas()
-    count = blas[0] if blas else (lambda: None)
-    before = count()
-    with rba._one_blas_thread():
-        with rba._one_blas_thread():
-            inner = count()
-        outer = count()
-    with pytest.raises(RuntimeError):
-        with rba._one_blas_thread():
-            raise RuntimeError("inside the block")
-    assert count() == before
-    if blas:
-        assert inner == outer == 1
