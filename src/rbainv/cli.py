@@ -61,12 +61,8 @@ def cmd_forward(args) -> int:
     problem = _load_problem(args.problem)
     model = _load_model(problem, args.model)
     approx = load_approximant(args.approx)
-    cache = ShiftedFactorCache()
     with PoleWorkerPool(args.workers) as pool:
-        try:
-            result = forward_response(problem, model, approx, cache, pool)
-        finally:
-            cache.clear(pool)
+        result = forward_response(problem, model, approx, ShiftedFactorCache(), pool)
     doc = {
         "data": result.data.tolist(),
         "times": approx.channels.times.tolist(),
@@ -91,12 +87,9 @@ def cmd_verify(args) -> int:
     direction /= np.max(np.abs(direction))
     h_values = 10.0 ** np.arange(-1, -6, -1, dtype=float)
     with PoleWorkerPool(args.workers) as pool:
-        try:
-            taylor = taylor_test(problem, model, approx, direction, h_values, cache, pool)
-            opr = JacobianOperator(problem, model, approx, cache, pool)
-            mismatch = adjoint_test(opr, trials=args.trials, seed=args.seed)
-        finally:
-            cache.clear(pool)
+        taylor = taylor_test(problem, model, approx, direction, h_values, cache, pool)
+        opr = JacobianOperator(problem, model, approx, cache, pool)
+        mismatch = adjoint_test(opr, trials=args.trials, seed=args.seed)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

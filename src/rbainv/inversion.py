@@ -192,15 +192,11 @@ def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
                   cfg: InversionConfig | None = None,
                   cache: ShiftedFactorCache | None = None) -> InversionState:
     """Full Gauss-Newton loop with cooling; history rows carry everything
-    needed to replay the objective and the Armijo bookkeeping.  ``cache`` is
-    cleared on return: its factors were made on this run's pool threads."""
+    needed to replay the objective and the Armijo bookkeeping."""
     cfg = cfg or InversionConfig()
     cache = cache or ShiftedFactorCache()
     with PoleWorkerPool(cfg.workers) as pool:
-        try:
-            return _gauss_newton(problem, data, approx, cfg, cache, pool)
-        finally:
-            cache.clear(pool)
+        return _gauss_newton(problem, data, approx, cfg, cache, pool)
 
 
 def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,

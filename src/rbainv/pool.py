@@ -44,8 +44,9 @@ class PoleWorkerPool:
     runs on the same thread in every call, a warm pool starts no threads,
     and a call never starts more threads than it has tasks.  Native state
     that must be released on the thread that made it (SuperLU factors) can
-    therefore be owned by index.  ``fn`` must not call `map_poles` on the
-    same pool.
+    therefore be owned by index: its holder registers with `hold`, and
+    `close()` has it release that state on its workers before they stop.
+    ``fn`` must not call `map_poles` on the same pool.
     """
 
     def __init__(self, workers: int = 1):
@@ -53,7 +54,16 @@ class PoleWorkerPool:
         if self.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {workers!r}")
         self._executors: dict[int, ThreadPoolExecutor] = {}
+        self._holders: dict[int, object] = {}
         self._finalizer = None
+
+    def hold(self, holder) -> None:
+        """Keep ``holder`` until `close()`, which calls ``holder.release()``
+        while the workers still run."""
+        self._holders[id(holder)] = holder
+
+    def unhold(self, holder) -> None:
+        self._holders.pop(id(holder), None)
 
     def _worker(self, p: int) -> ThreadPoolExecutor:
         """Worker p's one-thread executor, started on first use."""
@@ -82,7 +92,10 @@ class PoleWorkerPool:
         return results
 
     def close(self) -> None:
-        """Stop and join the worker threads; a later call starts new ones."""
+        """Release every holder, then stop and join the worker threads; a
+        later call starts new ones."""
+        while self._holders:
+            self._holders.popitem()[1].release()
         if self._finalizer is not None:
             self._finalizer.detach()
             self._finalizer = None

@@ -98,18 +98,15 @@ def scaling_benchmark(problem: Problem, model: Model, approx: RationalApproximan
         cache = ShiftedFactorCache()
         cache.activate(model.version_tag())
         with PoleWorkerPool(w) as pool:
-            try:
-                t0 = time.perf_counter()
-                factorize_all_poles(problem, model, approx, cache, pool)
-                t_fact = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            factorize_all_poles(problem, model, approx, cache, pool)
+            t_fact = time.perf_counter() - t0
 
-                t0 = time.perf_counter()
-                for _ in range(solve_repeats):
-                    g = np.array(pool.map_poles(
-                        lambda i: cache.solve(i, rhs), approx.pole_count))
-                t_solve = (time.perf_counter() - t0) / solve_repeats
-            finally:
-                cache.clear(pool)
+            t0 = time.perf_counter()
+            for _ in range(solve_repeats):
+                g = np.array(pool.map_poles(
+                    lambda i: cache.solve(i, rhs), approx.pole_count))
+            t_solve = (time.perf_counter() - t0) / solve_repeats
 
         total = t_fact + t_solve
         if t1_total is None:

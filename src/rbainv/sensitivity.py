@@ -137,7 +137,6 @@ def taylor_test(problem: Problem, model: Model, approx: RationalApproximant,
     h_values = np.asarray(sorted(h_values, reverse=True), dtype=float)
     if h_values.size < 4 or h_values[0] / h_values[-1] < 100.0:
         raise ValueError("need at least 4 step sizes spanning at least 2 decades")
-    owned = cache is None
     cache = cache or ShiftedFactorCache()
     pool = pool or PoleWorkerPool(1)
     direction = np.asarray(direction, dtype=float)
@@ -156,8 +155,6 @@ def taylor_test(problem: Problem, model: Model, approx: RationalApproximant,
         e0[k] = np.linalg.norm(d - d0)
         e1[k] = np.linalg.norm(d - d0 - h * jd)
     cache.activate(model.version_tag())
-    if owned:
-        cache.clear(pool)
 
     floor = 100 * np.finfo(float).eps * max(np.linalg.norm(d0), 1e-300)
     used = (e0 > floor) & (e1 > floor)

@@ -64,19 +64,20 @@ class CacheCounters:
 class ShiftedFactorCache:
     """One factorization of A_i(m) per pole, tagged with its model version.
 
-    `activate` moves the current tag and frees nothing: a pole's stale
-    factor is dropped by `factorize` when that pole is refactorized, or by
-    `clear`.  Both run on the pool worker that owns the pole, because
     SuperLU frees a factor only on the thread that made it; a factor whose
-    last reference goes on another thread is never freed.  So use a cache
-    with one pool, and `clear` it on that pool before the pool closes.
-    Counter updates are locked so pole workers can run concurrently.
+    last reference goes on another thread is never freed.  So every factor
+    is dropped on the pool worker that owns its pole.  `activate` only moves
+    the current tag; `factorize` frees a pole's stale factor on that pole's
+    worker before making the next; and `factorize_all_poles` binds the cache
+    to its pool, which has the cache `release` every factor before the pool
+    closes.  Counter updates are locked so pole workers can run concurrently.
     """
 
     def __init__(self):
         self.entries: dict[int, tuple[str | None, _Factor]] = {}
         self.counters = CacheCounters()
         self.current_tag: str | None = None
+        self._pool: PoleWorkerPool | None = None
         self._lock = threading.Lock()
 
     def activate(self, tag: str) -> None:
@@ -95,12 +96,31 @@ class ShiftedFactorCache:
             self.entries[i] = (self.current_tag, factor)
             self.counters.factorizations += 1
 
-    def clear(self, pool: PoleWorkerPool) -> None:
-        """Drop every factor on the worker of ``pool`` that owns its pole."""
-        def drop(i: int) -> None:
-            self.entries.pop(i, None)
+    def bind(self, pool: PoleWorkerPool) -> None:
+        """Make ``pool``'s workers the owners of this cache's factors.
 
-        pool.map_poles(drop, max(self.entries, default=-1) + 1)
+        A one-worker pool runs on the calling thread, so all of them count
+        as one owner.  Moving to another owner first releases every factor.
+        """
+        owner = pool if pool.workers > 1 else None
+        if owner is not self._pool:
+            self.release()
+            self._pool = owner
+            if owner is not None:
+                owner.hold(self)
+
+    def release(self) -> None:
+        """Drop every factor on the worker that made it."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.unhold(self)
+        entries = self.entries
+
+        def drop(i: int) -> None:      # returns nothing: the factor must not reach this thread
+            entries.pop(i, None)
+
+        if entries:
+            (pool or PoleWorkerPool(1)).map_poles(drop, max(entries) + 1)
 
     def _factor(self, i: int) -> _Factor:
         if not self.has(i):
@@ -125,6 +145,7 @@ def factorize_all_poles(problem: Problem, model: Model, approx: RationalApproxim
     (re)factorized on the worker that owns it and made its stale factor.
     """
     pool = pool or PoleWorkerPool(1)
+    cache.bind(pool)
     cache.activate(model.version_tag())
     if all(cache.has(i) for i in range(approx.pole_count)):
         return

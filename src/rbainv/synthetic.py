@@ -64,11 +64,8 @@ def make_dataset(problem: Problem, true_model: Model, approx: RationalApproximan
                  noise: NoiseSpec, cache: ShiftedFactorCache | None = None,
                  pool: PoleWorkerPool | None = None) -> DataSet:
     """Forward-model the true model and add seeded Gaussian noise."""
-    owned = cache is None
     cache = cache or ShiftedFactorCache()
     d_clean = forward_response(problem, true_model, approx, cache, pool).data
-    if owned and pool is not None:
-        cache.clear(pool)
     eps_a = noise.eps_a if noise.eps_a is not None else 1e-6 * np.max(np.abs(d_clean))
     if eps_a <= 0:
         raise ValueError("resolved eps_a must be > 0 (zero response?)")

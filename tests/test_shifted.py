@@ -218,6 +218,23 @@ def test_refactorization_replaces_stale_factor_on_its_owner(small_problem, small
             rb.factorize_all_poles(small_problem, model, small_approx, cache, pool)
             # one live factor per pole: each stale one was freed by its maker
             assert sum(freed is None for _, freed in factor_threads) == small_approx.pole_count
-        cache.clear(pool)
     assert len(factor_threads) == 3 * small_approx.pole_count
     assert_freed_where_made(factor_threads)
+    assert cache.entries == {}
+
+
+def test_cache_moved_to_another_pool_frees_on_the_first(small_problem, small_approx,
+                                                        factor_threads):
+    cache = rb.ShiftedFactorCache()
+    model = small_problem.true_model()
+    with rb.PoleWorkerPool(3) as first:
+        rb.factorize_all_poles(small_problem, model, small_approx, cache, first)
+        with rb.PoleWorkerPool(2) as second:
+            rb.factorize_all_poles(small_problem, model, small_approx, cache, second)
+            assert len(factor_threads) == 2 * small_approx.pole_count
+            assert sum(freed is None for _, freed in factor_threads) == small_approx.pole_count
+        rb.factorize_all_poles(small_problem, model, small_approx, cache)
+    # the first pool's close leaves the serially made factors alone
+    assert all(cache.has(i) for i in range(small_approx.pole_count))
+    assert len(factor_threads) == 3 * small_approx.pole_count
+    assert_freed_where_made(factor_threads[:2 * small_approx.pole_count])
