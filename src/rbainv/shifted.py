@@ -9,6 +9,7 @@ mutable state, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,7 @@ class ShiftedFactorCache:
         self.entries: dict[int, tuple[str | None, _Factor]] = {}
         self.counters = CacheCounters()
         self.current_tag: str | None = None
-        self._pool: PoleWorkerPool | None = None
+        self._pool = lambda: None      # weak reference to the owning pool: no cycle
         self._lock = threading.Lock()
 
     def activate(self, tag: str) -> None:
@@ -103,15 +104,15 @@ class ShiftedFactorCache:
         as one owner.  Moving to another owner first releases every factor.
         """
         owner = pool if pool.workers > 1 else None
-        if owner is not self._pool:
+        if owner is not self._pool():
             self.release()
-            self._pool = owner
             if owner is not None:
+                self._pool = weakref.ref(owner)
                 owner.hold(self)
 
     def release(self) -> None:
         """Drop every factor on the worker that made it."""
-        pool, self._pool = self._pool, None
+        pool, self._pool = self._pool(), lambda: None
         if pool is not None:
             pool.unhold(self)
         entries = self.entries

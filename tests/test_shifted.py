@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -238,3 +240,13 @@ def test_cache_moved_to_another_pool_frees_on_the_first(small_problem, small_app
     assert all(cache.has(i) for i in range(small_approx.pole_count))
     assert len(factor_threads) == 3 * small_approx.pole_count
     assert_freed_where_made(factor_threads[:2 * small_approx.pole_count])
+
+
+def test_bound_cache_does_not_keep_an_unclosed_pool_alive(small_problem, small_approx):
+    # an unclosed pool stops its threads when it is garbage collected
+    cache = rb.ShiftedFactorCache()
+    pool = rb.PoleWorkerPool(2)
+    rb.factorize_all_poles(small_problem, small_problem.true_model(), small_approx, cache, pool)
+    ref = weakref.ref(pool)
+    del pool
+    assert ref() is None
