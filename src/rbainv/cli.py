@@ -181,7 +181,8 @@ def cmd_bench_scaling(args) -> int:
         json.dump(rows, fh, indent=1)
     for row in rows:
         print(f"W={row['workers']}: factorize {row['factorize_ms']:.1f} ms, "
-              f"solve {row['solve_ms']:.1f} ms, efficiency {row['efficiency']:.2f}")
+              f"solve {row['solve_ms']:.1f} ms, jvp+vjp {row['jacobian_ms']:.1f} ms, "
+              f"efficiency {row['efficiency']:.2f}")
     checksums = {row["checksum"] for row in rows}
     print("pole solutions identical across worker counts:", len(checksums) == 1)
     return 0

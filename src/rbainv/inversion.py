@@ -238,6 +238,7 @@ def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
         residual = d_pred - data.d_obs
         grad = opr.vjp(W * W * residual) + lam * (reg.L @ (model.m - model.m_ref))
         dm, lsqr_iters, istop = gn_step(opr, reg, data, d_pred, model, lam, cfg.lsqr)
+        del opr                        # free its contraction blocks before the next one is built
         slope = float(grad @ dm)
 
         evals: dict[float, tuple] = {}

@@ -30,6 +30,7 @@ __all__ = [
     "build_problem",
     "assemble_M",
     "dM_contract",
+    "dM_transpose_blocks",
     "build_source",
     "parse_problem_file",
     "export_matrices",
@@ -355,19 +356,46 @@ def assemble_M(problem: Problem, model: Model) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
 
 
-def dM_contract(problem: Problem, model: Model, g: np.ndarray) -> sp.csc_matrix:
-    """Mass-derivative tensor contracted with g: column c holds
-    exp(m_c) * (M_c g) on the cell-c DOFs, shape (N, P)."""
+def _dM_local(problem: Problem, model: Model, g: np.ndarray) -> np.ndarray:
+    """Row c holds exp(m_c) * (M_c g) on the cell-c vertices, shape (P, k)."""
     g = np.asarray(g)
     dofs = problem.cell_dofs                       # (P, k)
     gl = np.where(dofs >= 0, g[np.maximum(dofs, 0)], 0.0)
-    local = np.einsum("pij,pj->pi", problem.mass_local, gl) * np.exp(model.m)[:, None]
+    return np.einsum("pij,pj->pi", problem.mass_local, gl) * np.exp(model.m)[:, None]
+
+
+def dM_contract(problem: Problem, model: Model, g: np.ndarray) -> sp.csc_matrix:
+    """Mass-derivative tensor contracted with g: column c holds
+    exp(m_c) * (M_c g) on the cell-c DOFs, shape (N, P)."""
+    local = _dM_local(problem, model, g)
+    dofs = problem.cell_dofs
     P, k = dofs.shape
     cols = np.repeat(np.arange(P), k)
     rows = dofs.ravel()
     keep = rows >= 0
     return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols.ravel()[keep])),
                          shape=(problem.dof_count, P)).tocsc()
+
+
+def dM_transpose_blocks(problem: Problem, model: Model, G: np.ndarray) -> sp.csr_matrix:
+    """blockdiag(dM_contract(problem, model, g)^T for g in the rows of G),
+    shape (s P, s N) for s rows.
+
+    Each row lists its cell's DOFs in ascending order, as the columns of
+    `dM_contract`'s CSC do, so a product with this matrix (or with its CSC
+    transpose) adds the same terms in the same order as the per-row products
+    with `dM_contract`, and matches them bit for bit.
+    """
+    dofs = problem.cell_dofs
+    order = np.argsort(dofs, axis=1, kind="stable")
+    sorted_dofs = np.take_along_axis(dofs, order, axis=1)
+    keep = sorted_dofs >= 0
+    N, s = problem.dof_count, len(G)
+    data = np.concatenate([np.take_along_axis(_dM_local(problem, model, g), order, axis=1)[keep]
+                           for g in G])
+    indices = (sorted_dofs[keep] + N * np.arange(s)[:, None]).ravel()
+    indptr = np.concatenate(([0], np.cumsum(np.tile(keep.sum(axis=1), s))))
+    return sp.csr_matrix((data, indices, indptr), shape=(s * dofs.shape[0], s * N))
 
 
 def build_source(problem: Problem, source: SourceSpec) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 from .inversion import InversionState
 from .mesh import Model, Problem
 from .rba import RationalApproximant
+from .sensitivity import JacobianOperator
 from .shifted import PoleWorkerPool, ShiftedFactorCache, factorize_all_poles
 from .synthetic import DataSet
 
@@ -86,7 +87,8 @@ def pole_solution_checksum(g: np.ndarray) -> str:
 def scaling_benchmark(problem: Problem, model: Model, approx: RationalApproximant,
                       worker_counts, rhs: np.ndarray | None = None,
                       solve_repeats: int = 4) -> list[dict]:
-    """Time the factorize-all and solve-all phases per worker count.
+    """Time the factorize-all and solve-all phases per worker count, and
+    one `jvp` plus one `vjp` of the Jacobian at ``model`` (``jacobian_ms``).
 
     Values (checksummed pole solutions) are bit-identical across worker
     counts; timings are host-dependent and reported as measured.
@@ -108,6 +110,11 @@ def scaling_benchmark(problem: Problem, model: Model, approx: RationalApproximan
                     lambda i: cache.solve(i, rhs), approx.pole_count))
             t_solve = (time.perf_counter() - t0) / solve_repeats
 
+            opr = JacobianOperator(problem, model, approx, cache, pool)
+            t0 = time.perf_counter()
+            opr.vjp(opr.jvp(np.ones(opr.shape[1])))
+            t_jac = time.perf_counter() - t0
+
         total = t_fact + t_solve
         if t1_total is None:
             t1_total = total
@@ -115,6 +122,7 @@ def scaling_benchmark(problem: Problem, model: Model, approx: RationalApproximan
             "workers": int(w),
             "factorize_ms": t_fact * 1e3,
             "solve_ms": t_solve * 1e3,
+            "jacobian_ms": t_jac * 1e3,
             "efficiency": t1_total / (w * total) if total > 0 else np.nan,
             "checksum": pole_solution_checksum(g),
         })

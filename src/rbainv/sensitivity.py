@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import response_from_pole_solutions
-from .mesh import Model, Problem, dM_contract
+from .mesh import Model, Problem, dM_transpose_blocks
 from .rba import RationalApproximant
 from .shifted import PoleWorkerPool, ShiftedFactorCache, solve_all_poles
 
@@ -35,9 +35,13 @@ __all__ = [
 class JacobianOperator:
     """Jacobian of the data map at one model, applied matrix-free.
 
-    Holds the pole solutions g_i and the contracted mass-derivative slices
-    for the bound model version; instances are read-only once built and must
-    be rebuilt after a model update.
+    Holds the pole solutions g_i and, per pool worker p, one block-diagonal
+    CSR B_p = blockdiag(dM(g_i)^T) over the poles i = p mod W that p owns.
+    A Jacobian action maps one task per worker: one product with B_p (or its
+    CSC transpose), that worker's solves, and one product with Q.  The
+    per-pole terms are summed on the calling thread in pole order, so the
+    output is bit-identical for any worker count.  Instances are read-only
+    once built and must be rebuilt after a model update.
     """
 
     def __init__(self, problem: Problem, model: Model, approx: RationalApproximant,
@@ -53,27 +57,42 @@ class JacobianOperator:
             pole_solutions = solve_all_poles(problem, model, approx, problem.f,
                                              cache, self.pool)
         self.g = pole_solutions
-        self.dM = [dM_contract(problem, model, self.g[i])
-                   for i in range(approx.pole_count)]
         self.shape = (problem.receiver_count * approx.channels.count,
                       problem.grid.cell_count)
+        self._Qc = problem.Q.astype(complex)
+        stride = self.pool.workers
+        self._blocks = self.pool.map_poles(
+            lambda p: dM_transpose_blocks(problem, model, self.g[p::stride]),
+            min(stride, approx.pole_count))
 
     def _check_current(self):
         if self.cache.current_tag != self.model_tag:
             raise RuntimeError("cache has moved to another model version; rebuild the operator")
+
+    def _map_workers(self, work) -> list:
+        """Run ``work(p, poles)`` once per worker; returns per-pole results in
+        pole order, where ``work`` returns one row per pole it was given."""
+        stride = self.pool.workers
+        m = self.approx.pole_count
+        rows = self.pool.map_poles(lambda p: work(p, range(p, m, stride)), len(self._blocks))
+        return [rows[i % stride][i // stride] for i in range(m)]
 
     def jvp(self, v: np.ndarray) -> np.ndarray:
         """Directional derivative of the data; one solve per pole."""
         self._check_current()
         v = np.asarray(v, dtype=float)
         approx = self.approx
+        N = self.problem.dof_count
         D = np.zeros((approx.channels.count, self.problem.receiver_count))
 
-        def work(i: int):
-            h = self.cache.solve(i, self.dM[i] @ v)
-            return self.problem.Q @ h
+        def work(p: int, poles: range):
+            rhs = self._blocks[p].T @ np.tile(v, len(poles))      # dM(g_i) v, stacked
+            H = np.empty((N, len(poles)), dtype=complex)
+            for k, i in enumerate(poles):
+                H[:, k] = self.cache.solve(i, rhs[k * N:(k + 1) * N])
+            return (self._Qc @ H).T
 
-        q = self.pool.map_poles(work, approx.pole_count)
+        q = self._map_workers(work)
         for i in range(approx.pole_count):
             D += 2.0 * np.real(approx.poles[i] * np.outer(approx.residues[i], q[i]))
         return D.ravel()
@@ -82,16 +101,19 @@ class JacobianOperator:
         """Adjoint action; channels aggregate into one transpose solve per pole."""
         self._check_current()
         W = np.asarray(w, dtype=float).reshape(self.approx.channels.count, -1)
-        Qt_w = self.problem.Q.T @ W.T                     # (N, K_t) real
+        Qt_w = (self.problem.Q.T @ W.T).astype(complex)  # (N, K_t)
         approx = self.approx
+        N = self.problem.dof_count
         out = np.zeros(self.shape[1])
 
-        def work(i: int):
-            y = Qt_w @ approx.residues[i]                 # sum_j alpha[i, j] Q^T w_j
-            z = self.cache.solve(i, y, trans="T")
-            return self.dM[i].T @ z
+        def work(p: int, poles: range):
+            Z = np.empty(len(poles) * N, dtype=complex)
+            for k, i in enumerate(poles):
+                y = Qt_w @ approx.residues[i]             # sum_j alpha[i, j] Q^T w_j
+                Z[k * N:(k + 1) * N] = self.cache.solve(i, y, trans="T")
+            return (self._blocks[p] @ Z).reshape(len(poles), -1)
 
-        parts = self.pool.map_poles(work, approx.pole_count)
+        parts = self._map_workers(work)
         for i in range(approx.pole_count):
             out += 2.0 * np.real(approx.poles[i] * parts[i])
         return out

@@ -52,7 +52,7 @@ def test_scaling_benchmark(small_problem, small_approx):
     checksums = {r["checksum"] for r in rows}
     assert len(checksums) == 1
     for r in rows:
-        assert r["factorize_ms"] > 0 and r["solve_ms"] > 0
+        assert r["factorize_ms"] > 0 and r["solve_ms"] > 0 and r["jacobian_ms"] > 0
 
 
 def test_scaling_benchmark_rejects_worker_count_below_one(small_problem, small_approx):

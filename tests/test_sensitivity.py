@@ -131,19 +131,63 @@ def test_adjoint_stable_across_workers(small_problem, small_approx):
 
 
 def test_solve_budget(small_problem, small_approx):
-    cache = rb.ShiftedFactorCache()
     model = small_problem.true_model()
     m = small_approx.pole_count
-    before = cache.counters.snapshot()
-    opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
-    after_build = cache.counters.snapshot()
-    assert after_build["solves"] - before["solves"] == m
-    opr.jvp(np.ones(opr.shape[1]))
-    after_jvp = cache.counters.snapshot()
-    assert after_jvp["solves"] - after_build["solves"] == m
-    opr.vjp(np.ones(opr.shape[0]))
-    after_vjp = cache.counters.snapshot()
-    assert after_vjp["solves"] - after_jvp["solves"] == m
+    for W in (1, 3):
+        cache = rb.ShiftedFactorCache()
+        before = cache.counters.snapshot()
+        with rb.PoleWorkerPool(W) as pool:
+            opr = rb.JacobianOperator(small_problem, model, small_approx, cache, pool)
+            after_build = cache.counters.snapshot()
+            assert after_build["solves"] - before["solves"] == m
+            opr.jvp(np.ones(opr.shape[1]))
+            after_jvp = cache.counters.snapshot()
+            assert after_jvp["solves"] - after_build["solves"] == m
+            opr.vjp(np.ones(opr.shape[0]))
+            after_vjp = cache.counters.snapshot()
+            assert after_vjp["solves"] - after_jvp["solves"] == m
+
+
+def jvp_per_pole(opr, v):
+    """One `dM_contract` product, solve and Q product per pole, summed in
+    pole order; oracle for `JacobianOperator.jvp`."""
+    approx = opr.approx
+    D = np.zeros((approx.channels.count, opr.problem.receiver_count))
+    for i in range(approx.pole_count):
+        dM = rb.dM_contract(opr.problem, opr.model, opr.g[i])
+        q = opr.problem.Q @ opr.cache.solve(i, dM @ v)
+        D += 2.0 * np.real(approx.poles[i] * np.outer(approx.residues[i], q))
+    return D.ravel()
+
+
+def vjp_per_pole(opr, w):
+    """One aggregated transpose solve and `dM_contract` product per pole,
+    summed in pole order; oracle for `JacobianOperator.vjp`."""
+    approx = opr.approx
+    Qt_w = opr.problem.Q.T @ np.reshape(w, (approx.channels.count, -1)).T
+    out = np.zeros(opr.shape[1])
+    for i in range(approx.pole_count):
+        dM = rb.dM_contract(opr.problem, opr.model, opr.g[i])
+        z = opr.cache.solve(i, Qt_w @ approx.residues[i], trans="T")
+        out += 2.0 * np.real(approx.poles[i] * (dM.T @ z))
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_actions_bit_identical_to_per_pole_oracle(small_problem, small_approx, workers):
+    """The per-worker block layout adds the same terms in the same order as
+    one `dM_contract` per pole, for any worker count (3 does not divide the
+    16 poles)."""
+    rng = np.random.default_rng(workers)
+    model = small_problem.true_model().perturbed(
+        rng.standard_normal(small_problem.grid.cell_count), 0.1)
+    with rb.PoleWorkerPool(workers) as pool:
+        opr = rb.JacobianOperator(small_problem, model, small_approx,
+                                  rb.ShiftedFactorCache(), pool)
+        v = rng.standard_normal(opr.shape[1])
+        w = rng.standard_normal(opr.shape[0])
+        assert np.array_equal(opr.jvp(v), jvp_per_pole(opr, v))
+        assert np.array_equal(opr.vjp(w), vjp_per_pole(opr, w))
 
 
 def vjp_per_channel(opr, w):
@@ -153,9 +197,10 @@ def vjp_per_channel(opr, w):
     approx = opr.approx
     out = np.zeros(opr.shape[1])
     for i in range(approx.pole_count):
+        dM = rb.dM_contract(opr.problem, opr.model, opr.g[i])
         for j in range(approx.channels.count):
             z = opr.cache.solve(i, opr.problem.Q.T @ W[j].astype(complex), trans="T")
-            out += 2.0 * np.real(approx.poles[i] * approx.residues[i, j] * (opr.dM[i].T @ z))
+            out += 2.0 * np.real(approx.poles[i] * approx.residues[i, j] * (dM.T @ z))
     return out
 
 
