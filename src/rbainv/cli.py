@@ -54,6 +54,8 @@ def cmd_fit_rba(args) -> int:
     print(f"fit {args.poles} poles over [{args.xmin:g}, {args.xmax:g}]: "
           f"max abs error {approx.fit_error:.3e} "
           f"({approx.iterations} iterations, converged={approx.converged})")
+    for k, (err, move) in enumerate(approx.stats.history, 1):
+        print(f"  iteration {k}: max abs error {err:.3e}, pole move {move:.2e}")
     return 0
 
 

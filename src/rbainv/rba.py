@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf
 
 from .pool import PoleWorkerPool
 
@@ -82,11 +83,15 @@ class FitStats:
     Pole relocation happens once per iteration on the joint system, so
     ``pole_relocations`` never scales with the channel count; the residues
     for all channels come from a single batched least-squares solve.
+    ``history`` holds one ``(max_error, pole_move)`` pair per iteration: the
+    validation error at the relocated poles and their largest relative
+    movement.
     """
 
     iterations: int = 0
     pole_relocations: int = 0
     residue_batches: int = 0
+    history: list[tuple[float, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -226,6 +231,30 @@ def _residues_and_error(x: np.ndarray, F: np.ndarray, x_val: np.ndarray,
     return np.max(np.abs(2.0 * np.real(r @ alpha) - F_val.T)), alpha
 
 
+def _denominator_rows(B: np.ndarray, w_j: np.ndarray, F_j: np.ndarray, m: int):
+    """One channel's rows of the shared denominator least-squares system.
+
+    The linearized residual of channel j is
+    ``[w_j B | -w_j F_j B] (ab; cd) - w_j F_j``.  Eliminating its residue
+    unknowns ``ab`` leaves ``R22 cd ~= Q2^T (w_j F_j)``, where
+    ``R22 = R[2m:, 2m:]`` and ``Q2 = Q[:, 2m:]`` come from the QR of
+    ``[w_j B | -w_j F_j B]``.  With ``w_j F_j`` appended as a last column,
+    one R-only LAPACK QR yields both: its Householder reflections, applied
+    to that column, leave ``Q^T (w_j F_j)`` there, so ``Q`` is never formed.
+    Returns ``(R22, Q2^T (w_j F_j))``.
+    """
+    wF = w_j * F_j
+    A = np.empty((B.shape[0], 4 * m + 1), order="F")
+    A[:, :2 * m] = w_j[:, None] * B
+    A[:, 2 * m:4 * m] = -wF[:, None] * B
+    A[:, 4 * m] = wF
+    qr, _, _, info = dgeqrf(A, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"denominator QR failed (dgeqrf info {info})")
+    R = np.triu(qr[2 * m:4 * m, 2 * m:])
+    return R[:, :2 * m], R[:, 2 * m]
+
+
 def _relocate_poles(poles: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """New poles = zeros of 1 + sum_i (c_i, d_i)-weighted pair basis.
 
@@ -299,9 +328,9 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
     zeros of the correction, keeping the best iterate seen.  Residues for
     the returned poles always come from a final exact least-squares solve.
 
-    The per-channel QR reductions of the denominator pass run on ``pool``
-    and are stacked in channel order, so the result is bit-identical for
-    any worker count.
+    The per-channel QR reductions of the denominator pass
+    (`_denominator_rows`) run on ``pool`` and are stacked in channel order,
+    so the result is bit-identical for any worker count.
     """
     cfg = fit_cfg or FitConfig()
     pool = pool or PoleWorkerPool(1)
@@ -341,19 +370,9 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
     for it in range(cfg.max_iters):
         B = _pair_basis(x, poles)          # (G, 2m)
 
-        def channel_qr(j: int):
-            Aj = np.concatenate([w[j][:, None] * B, -(w[j] * F[j])[:, None] * B], axis=1)
-            return np.linalg.qr(Aj, mode="reduced")
-
-        # every channel's Q stays alive until the reduction below: freeing
-        # each Q as soon as its slice is taken lets the allocator hand the
-        # pages back to the OS and fault them in again for the next channel
-        # (3-4x the page faults and 10-30% more time per pass, measured at
-        # G=2000, m=21, 31 channels on a 2-core VM)
-        QR = pool.map_poles(channel_qr, times.size)
-        AA = np.vstack([R[2 * m:, 2 * m:] for _, R in QR])
-        bb = np.concatenate([Q[:, 2 * m:].T @ (w[j] * F[j]) for j, (Q, _) in enumerate(QR)])
-        del QR
+        rows = pool.map_poles(lambda j: _denominator_rows(B, w[j], F[j], m), times.size)
+        AA = np.vstack([R for R, _ in rows])
+        bb = np.concatenate([b for _, b in rows])
         col = np.linalg.norm(AA, axis=0)
         col[col == 0] = 1.0
         cd, *_ = np.linalg.lstsq(AA / col, bb, rcond=None)
@@ -369,6 +388,7 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         poles = new_poles
 
         err, alpha = _residues_and_error(x, F, x_val, F_val, poles, res_weights)
+        stats.history.append((float(err), float(move)))
         if err < best_err:
             best_err, best_alpha, best_poles = err, alpha, poles.copy()
             stall = 0

@@ -1,3 +1,18 @@
+import os
+import sys
+import warnings
+
+# One BLAS thread for the whole session, set before numpy loads: numpy and
+# scipy each bring their own OpenBLAS, and with several threads each their
+# thread pools spin against each other when calls interleave (the fit mixes
+# scipy's dgeqrf with numpy's lstsq).  Criterion 7's pins are one-thread
+# values.  An explicit setting in the environment wins.
+if "numpy" in sys.modules:
+    warnings.warn("numpy was imported before tests/conftest.py could pin one BLAS "
+                  "thread; BLAS keeps the thread count it started with")
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
 import threading
 import weakref
 

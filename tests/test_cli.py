@@ -1,11 +1,18 @@
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import rbainv as rb
 from conftest import assert_freed_where_made
 from rbainv.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 PROBLEM_INI = """
 [domain]
@@ -129,11 +136,36 @@ def fit_args(workdir):
 
 def test_fit_rba_workers_bit_identical(workdir):
     outs = []
-    for W in (1, 2):
+    for W in (1, 2, 4):
         out = workdir / f"approx_w{W}.json"
         assert main(fit_args(workdir) + ["--workers", str(W), "--out", str(out)]) == 0
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == (workdir / "approx.json").read_bytes()
+    assert outs[0] == outs[1] == outs[2] == (workdir / "approx.json").read_bytes()
+
+
+def test_fit_rba_workers_bit_identical_with_threaded_blas(workdir):
+    # BLAS thread counts are fixed when numpy and scipy load, so this runs
+    # in a fresh interpreter with two OpenBLAS threads each
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")])))
+    outs = [workdir / f"approx_blas2_w{W}.json" for W in (1, 2)]
+    script = ("import sys\nfrom rbainv.cli import main\n"
+              "for W, out in zip((1, 2), sys.argv[2:]):\n"
+              "    assert main(sys.argv[1].split() + ['--workers', str(W), '--out', out]) == 0\n")
+    subprocess.run([sys.executable, "-c", script, " ".join(fit_args(workdir)), *map(str, outs)],
+                   env=env, check=True, capture_output=True)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_fit_rba_prints_one_line_per_iteration(workdir, capsys):
+    out = workdir / "approx_history.json"
+    assert main(fit_args(workdir) + ["--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    iterations = int(re.search(r"\((\d+) iterations", lines[0]).group(1))
+    assert iterations > 0 and len(lines) == 1 + iterations
+    assert all(re.fullmatch(rf"  iteration {k}: max abs error \S+, pole move \S+", line)
+               for k, line in enumerate(lines[1:], 1))
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rbainv as rb
+from rbainv import rba
 from rbainv.rba import FitConfig, PoleCollisionError, RationalApproximant
 
 
@@ -193,3 +195,45 @@ def test_fit_bit_identical_for_any_worker_count(relative):
         assert np.array_equal(fit.residues, serial.residues)
         assert fit.fit_error == serial.fit_error
         assert fit.iterations == serial.iterations
+
+
+def test_fit_history_has_one_entry_per_iteration(channels31):
+    cfg = FitConfig(n_log=200, n_lin=200, max_iters=12)
+    ap = rb.fit_common_pole(channels31, (0.0, 1e5), 6, cfg)
+    initial = rb.fit_common_pole(channels31, (0.0, 1e5), 6, replace(cfg, max_iters=0))
+    history = ap.stats.history
+    assert ap.iterations > 0 and len(history) == ap.iterations
+    assert all(np.isfinite(err) and move >= 0.0 for err, move in history)
+    assert ap.fit_error == min([initial.fit_error] + [err for err, _ in history])
+
+
+def _denominator_rows_oracle(B, w_j, F_j, m):
+    """``R[2m:, 2m:]`` and ``Q[:, 2m:]^T (w_j F_j)`` from an explicit-Q QR of
+    ``[w_j B | -w_j F_j B]``."""
+    wF = w_j * F_j
+    Q, R = np.linalg.qr(np.concatenate([w_j[:, None] * B, -wF[:, None] * B], axis=1),
+                        mode="reduced")
+    return R[2 * m:, 2 * m:], Q[:, 2 * m:].T @ wF
+
+
+def _stacked_cd(rows):
+    AA = np.vstack([R for R, _ in rows])
+    bb = np.concatenate([b for _, b in rows])
+    col = np.linalg.norm(AA, axis=0)
+    cd, *_ = np.linalg.lstsq(AA / col, bb, rcond=None)
+    return cd / col
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_denominator_rows_match_explicit_q_oracle(relative):
+    times = np.geomspace(1e-6, 1e-3, 6)
+    m = 4
+    x = rba._training_grid((0.0, 1e5), times[0], 300, 300)
+    F = np.exp(-np.outer(times, x))
+    w = 1.0 / np.maximum(np.abs(F), 1e-3) if relative else np.ones_like(F)
+    B = rba._pair_basis(x, rba._initial_poles(times, m))
+    got = [rba._denominator_rows(B, w[j], F[j], m) for j in range(times.size)]
+    want = [_denominator_rows_oracle(B, w[j], F[j], m) for j in range(times.size)]
+    assert [(R.shape, b.shape) for R, b in got] == [(R.shape, b.shape) for R, b in want]
+    cd, cd_ref = _stacked_cd(got), _stacked_cd(want)
+    assert np.linalg.norm(cd - cd_ref) <= 1e-10 * np.linalg.norm(cd_ref)
