@@ -46,10 +46,14 @@ def _load_model(problem, path: str | None) -> Model:
 
 
 def cmd_fit_rba(args) -> int:
-    channels = _parse_times(args.times_log10)
+    if not args.xmin < args.xmax < np.inf:
+        print(f"rbainv fit-rba: error: argument --xmax: expected a finite number "
+              f"> --xmin ({args.xmin:g}), got {args.xmax:g}", file=sys.stderr)
+        return 2
     cfg = FitConfig(max_iters=args.max_iters)
     with PoleWorkerPool(args.workers) as pool:
-        approx = fit_common_pole(channels, (args.xmin, args.xmax), args.poles, cfg, pool)
+        approx = fit_common_pole(args.times_log10, (args.xmin, args.xmax), args.poles,
+                                 cfg, pool)
     save_approximant(approx, args.out)
     print(f"fit {args.poles} poles over [{args.xmin:g}, {args.xmax:g}]: "
           f"max abs error {approx.fit_error:.3e} "
@@ -205,6 +209,19 @@ def _worker_counts(text: str) -> list[int]:
     return [_worker_count(w) for w in text.split(",")]
 
 
+def _checked(parse, ok, expected: str):
+    """argparse type: ``parse(text)`` must succeed and satisfy ``ok``."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except (ValueError, OverflowError):
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rbainv",
                                      description=__doc__.splitlines()[0])
@@ -212,9 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-rba", help="fit a shared-pole approximant")
     p.add_argument("--times-log10", required=True,
+                   type=_checked(_parse_times,
+                                 lambda ch: ch.count > 0 and np.all(np.isfinite(ch.times)),
+                                 "log10 start:log10 stop:count with start < stop and count >= 1"),
                    help="log10 start:log10 stop:count, e.g. -6:-3:31")
-    p.add_argument("--poles", type=int, default=21)
-    p.add_argument("--xmin", type=float, default=0.0)
+    p.add_argument("--poles", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
+                   default=21)
+    p.add_argument("--xmin", type=_checked(float, lambda x: 0.0 <= x < np.inf,
+                                           "a finite number >= 0"), default=0.0)
     p.add_argument("--xmax", type=float, required=True)
     p.add_argument("--max-iters", type=int, default=50)
     p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)

@@ -421,13 +421,12 @@ def build_source(problem: Problem, source: SourceSpec) -> np.ndarray:
     inside = _in_box(grid.cell_centroids(), box)
     if source.amplitude != 0.0 and not np.any(inside):
         raise ValueError("source footprint does not intersect the domain")
-    k = problem.cell_dofs.shape[1]
+    dofs = problem.cell_dofs[inside]
     # integral of each hat over its cell is measure / k
-    for c in np.flatnonzero(inside):
-        contrib = source.amplitude * grid.cell_measure[c] / k
-        for d in problem.cell_dofs[c]:
-            if d >= 0:
-                f[d] += contrib
+    contrib = source.amplitude * grid.cell_measure[inside] / dofs.shape[1]
+    free = dofs >= 0
+    # np.add.at sums in index order, cell by cell, as a loop over the cells would
+    np.add.at(f, dofs[free], np.broadcast_to(contrib[:, None], dofs.shape)[free])
     return f
 
 

@@ -38,6 +38,14 @@ __all__ = [
 ]
 
 
+# relative pole movement below which the fit has converged
+POLE_TOL = 1e-8
+# relative pairwise pole distance that counts as a collision
+COLLISION_TOL = 1e-10
+# the fit stops after this many iterations without a better iterate
+STALL_ITERS = 10
+
+
 class PoleCollisionError(RuntimeError):
     """Two poles moved closer than the collision tolerance."""
 
@@ -66,13 +74,7 @@ class TimeChannels:
 @dataclass(frozen=True)
 class FitConfig:
     max_iters: int = 50
-    pole_tol: float = 1e-8          # relative pole movement for convergence
-    n_log: int = 1000               # log-spaced training points
-    n_lin: int = 1000               # linear training points near the origin
-    relative_weighting: bool = False
-    rel_floor: float = 1e-3         # weight floor when relative_weighting is on
-    collision_tol: float = 1e-10    # relative pairwise pole distance
-    stall_iters: int = 10           # stop early after this many non-improving iterations
+    grid_size: int = 1000           # points per segment of the training grid
     initial_poles: np.ndarray | None = None  # warm start (upper-half representatives)
 
 
@@ -159,27 +161,13 @@ def _check_collisions(poles: np.ndarray, tol: float) -> None:
             f"pole pair closer than {tol:g} relative (min distance {np.min(d):.3e})")
 
 
-def _training_grid(interval, t_min: float, n_log: int, n_lin: int) -> np.ndarray:
-    """Composite grid: linear points through the fast-decay region plus
-    log-spaced points out to the end of the spectral interval, always
-    containing x = 0."""
-    x_min, x_max = interval
-    x_scale = 1.0 / t_min
-    lin_hi = min(x_scale, x_max)
-    lin = np.linspace(0.0, lin_hi, n_lin)
-    log_lo = max(x_min, 1e-3 * lin_hi)
-    if log_lo > 0 and x_max > log_lo:
-        log = np.geomspace(log_lo, x_max, n_log)
-    else:
-        log = np.empty(0)
-    return np.unique(np.concatenate([[0.0], lin, log, [x_max]]))
+def _sample_grid(interval, t_min: float, grid_size: int) -> np.ndarray:
+    """Sorted sample points inside the spectral interval, endpoints included:
+    ``grid_size`` linear points through the fast-decay region ``x <= 1/t_min``
+    plus ``grid_size`` log-spaced points out to the end of the interval.
 
-
-def _validation_grid(interval, t_min: float, grid_size: int) -> np.ndarray:
-    """Log+linear composite inside the spectral interval, endpoints included.
-
-    Sizes are used as-is for each segment so that grids with sizes n and
-    k*(n-1)+1 nest, making the observed maximum monotone under refinement.
+    Grids with sizes n and k*(n-1)+1 nest, so the observed maximum of a
+    fixed approximant's error is monotone under refinement.
     """
     x_min, x_max = interval
     lin_hi = min(1.0 / t_min, x_max)
@@ -198,56 +186,40 @@ def _pair_basis(x: np.ndarray, poles: np.ndarray) -> np.ndarray:
     return np.concatenate([2.0 * r.real, -2.0 * r.imag], axis=1)
 
 
-def _solve_residues(basis: np.ndarray, targets: np.ndarray, m: int,
-                    weights: np.ndarray | None = None) -> np.ndarray:
-    """Least-squares residues for all channels; returns (m, K_t) complex.
-
-    Unit weights share one factorization across channels; per-channel row
-    weights fall back to one solve per channel.
-    """
-    if weights is None:
-        scale = np.linalg.norm(basis, axis=0)
-        scale[scale == 0] = 1.0
-        coef, *_ = np.linalg.lstsq(basis / scale, targets.T, rcond=None)
-        coef = coef / scale[:, None]
-    else:
-        coef = np.empty((2 * m, targets.shape[0]))
-        for j in range(targets.shape[0]):
-            Bw = weights[j][:, None] * basis
-            scale = np.linalg.norm(Bw, axis=0)
-            scale[scale == 0] = 1.0
-            cj, *_ = np.linalg.lstsq(Bw / scale, weights[j] * targets[j], rcond=None)
-            coef[:, j] = cj / scale
+def _solve_residues(basis: np.ndarray, targets: np.ndarray, m: int) -> np.ndarray:
+    """Least-squares residues for all channels from one column-scaled
+    factorization; returns (m, K_t) complex."""
+    scale = np.linalg.norm(basis, axis=0)
+    scale[scale == 0] = 1.0
+    coef, *_ = np.linalg.lstsq(basis / scale, targets.T, rcond=None)
+    coef = coef / scale[:, None]
     return coef[:m, :] + 1j * coef[m:, :]
 
 
 def _residues_and_error(x: np.ndarray, F: np.ndarray, x_val: np.ndarray,
-                        F_val: np.ndarray, poles: np.ndarray,
-                        weights: np.ndarray | None = None):
+                        F_val: np.ndarray, poles: np.ndarray):
     """Least-squares residues at fixed ``poles`` on the training grid ``x``
     and their max abs error on the validation grid; returns (error, residues)."""
-    alpha = _solve_residues(_pair_basis(x, poles), F, poles.size, weights=weights)
+    alpha = _solve_residues(_pair_basis(x, poles), F, poles.size)
     r = 1.0 / (x_val[:, None] - poles[None, :])
     return np.max(np.abs(2.0 * np.real(r @ alpha) - F_val.T)), alpha
 
 
-def _denominator_rows(B: np.ndarray, w_j: np.ndarray, F_j: np.ndarray, m: int):
+def _denominator_rows(B: np.ndarray, F_j: np.ndarray, m: int):
     """One channel's rows of the shared denominator least-squares system.
 
-    The linearized residual of channel j is
-    ``[w_j B | -w_j F_j B] (ab; cd) - w_j F_j``.  Eliminating its residue
-    unknowns ``ab`` leaves ``R22 cd ~= Q2^T (w_j F_j)``, where
-    ``R22 = R[2m:, 2m:]`` and ``Q2 = Q[:, 2m:]`` come from the QR of
-    ``[w_j B | -w_j F_j B]``.  With ``w_j F_j`` appended as a last column,
-    one R-only LAPACK QR yields both: its Householder reflections, applied
-    to that column, leave ``Q^T (w_j F_j)`` there, so ``Q`` is never formed.
-    Returns ``(R22, Q2^T (w_j F_j))``.
+    The linearized residual of channel j is ``[B | -F_j B] (ab; cd) - F_j``.
+    Eliminating its residue unknowns ``ab`` leaves ``R22 cd ~= Q2^T F_j``,
+    where ``R22 = R[2m:, 2m:]`` and ``Q2 = Q[:, 2m:]`` come from the QR of
+    ``[B | -F_j B]``.  With ``F_j`` appended as a last column, one R-only
+    LAPACK QR yields both: its Householder reflections, applied to that
+    column, leave ``Q^T F_j`` there, so ``Q`` is never formed.
+    Returns ``(R22, Q2^T F_j)``.
     """
-    wF = w_j * F_j
     A = np.empty((B.shape[0], 4 * m + 1), order="F")
-    A[:, :2 * m] = w_j[:, None] * B
-    A[:, 2 * m:4 * m] = -wF[:, None] * B
-    A[:, 4 * m] = wF
+    A[:, :2 * m] = B
+    A[:, 2 * m:4 * m] = -F_j[:, None] * B
+    A[:, 4 * m] = F_j
     qr, _, _, info = dgeqrf(A, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"denominator QR failed (dgeqrf info {info})")
@@ -342,16 +314,9 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         raise ValueError("need pole_count >= 1 and 0 <= x_min < x_max")
 
     m = pole_count
-    x = _training_grid((x_min, x_max), times[0], cfg.n_log, cfg.n_lin)
+    x = _sample_grid((x_min, x_max), times[0], cfg.grid_size)
     F = np.exp(-np.outer(times, x))        # (K_t, G)
-    if cfg.relative_weighting:
-        w = 1.0 / np.maximum(np.abs(F), cfg.rel_floor)
-        res_weights = w
-    else:
-        w = np.ones_like(F)
-        res_weights = None
-
-    x_val = _validation_grid((x_min, x_max), times[0], 2001)
+    x_val = _sample_grid((x_min, x_max), times[0], 2001)
     F_val = np.exp(-np.outer(times, x_val))
 
     if cfg.initial_poles is not None:
@@ -362,7 +327,7 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         poles = _initial_poles(times, m)
 
     stats = FitStats()
-    best_err, best_alpha = _residues_and_error(x, F, x_val, F_val, poles, res_weights)
+    best_err, best_alpha = _residues_and_error(x, F, x_val, F_val, poles)
     best_poles = poles.copy()
     converged = False
     stall = 0
@@ -370,7 +335,7 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
     for it in range(cfg.max_iters):
         B = _pair_basis(x, poles)          # (G, 2m)
 
-        rows = pool.map_poles(lambda j: _denominator_rows(B, w[j], F[j], m), times.size)
+        rows = pool.map_poles(lambda j: _denominator_rows(B, F[j], m), times.size)
         AA = np.vstack([R for R, _ in rows])
         bb = np.concatenate([b for _, b in rows])
         col = np.linalg.norm(AA, axis=0)
@@ -381,13 +346,13 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         new_poles = _relocate_poles(poles, cd[:m], cd[m:])
         stats.pole_relocations += 1
         stats.iterations = it + 1
-        _check_collisions(new_poles, cfg.collision_tol)
+        _check_collisions(new_poles, COLLISION_TOL)
 
         old_sorted = poles[np.lexsort((poles.real, poles.imag))]
         move = np.max(np.abs(new_poles - old_sorted) / np.maximum(np.abs(old_sorted), 1e-300))
         poles = new_poles
 
-        err, alpha = _residues_and_error(x, F, x_val, F_val, poles, res_weights)
+        err, alpha = _residues_and_error(x, F, x_val, F_val, poles)
         stats.history.append((float(err), float(move)))
         if err < best_err:
             best_err, best_alpha, best_poles = err, alpha, poles.copy()
@@ -395,10 +360,10 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         else:
             stall += 1
 
-        if move < cfg.pole_tol:
+        if move < POLE_TOL:
             converged = True
             break
-        if stall >= cfg.stall_iters:
+        if stall >= STALL_ITERS:
             break
 
     stats.residue_batches += 1
@@ -468,8 +433,8 @@ def refit_residues(approx: RationalApproximant, channels: TimeChannels,
     if channels.count == 0:
         raise ValueError("channels must be nonempty")
     interval, times = approx.spectral_interval, channels.times
-    x = _training_grid(interval, times[0], cfg.n_log, cfg.n_lin)
-    x_val = _validation_grid(interval, times[0], 2001)
+    x = _sample_grid(interval, times[0], cfg.grid_size)
+    x_val = _sample_grid(interval, times[0], 2001)
     err, alpha = _residues_and_error(x, np.exp(-np.outer(times, x)), x_val,
                                      np.exp(-np.outer(times, x_val)), approx.poles)
     return RationalApproximant(poles=approx.poles, residues=alpha,
@@ -485,7 +450,7 @@ def validate_fit(approx: RationalApproximant, grid_size: int) -> FitReport:
     K = approx.channels.count
     if K == 0:
         return FitReport(0.0, np.empty(0), np.empty(0), 0)
-    x = _validation_grid(approx.spectral_interval, approx.channels.times[0], grid_size)
+    x = _sample_grid(approx.spectral_interval, approx.channels.times[0], grid_size)
     target = np.exp(-np.outer(approx.channels.times, x))   # (K, G)
     got = approx.eval(x).T
     abs_err = np.abs(got - target)

@@ -6,12 +6,12 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .inversion import InversionState
+from .inversion import InversionState, IterationRecord
 from .mesh import Model, Problem
 from .rba import RationalApproximant
 from .sensitivity import JacobianOperator
@@ -27,6 +27,9 @@ __all__ = [
     "write_run_artifacts",
     "consolidate_report",
 ]
+
+# solve-all passes per worker count in `scaling_benchmark`
+SOLVE_REPEATS = 4
 
 
 @dataclass
@@ -85,30 +88,29 @@ def pole_solution_checksum(g: np.ndarray) -> str:
 
 
 def scaling_benchmark(problem: Problem, model: Model, approx: RationalApproximant,
-                      worker_counts, rhs: np.ndarray | None = None,
-                      solve_repeats: int = 4) -> list[dict]:
+                      worker_counts) -> list[dict]:
     """Time the factorize-all and solve-all phases per worker count, and
     one `jvp` plus one `vjp` of the Jacobian at ``model`` (``jacobian_ms``).
 
-    Values (checksummed pole solutions) are bit-identical across worker
-    counts; timings are host-dependent and reported as measured.
+    The solve phase solves every pole against the source vector
+    ``problem.f`` ``SOLVE_REPEATS`` times and reports the mean.  Values
+    (checksummed pole solutions) are bit-identical across worker counts;
+    timings are host-dependent and reported as measured.
     """
-    rhs = problem.f if rhs is None else rhs
     rows = []
     t1_total = None
     for w in worker_counts:
         cache = ShiftedFactorCache()
-        cache.activate(model.version_tag())
         with PoleWorkerPool(w) as pool:
             t0 = time.perf_counter()
             factorize_all_poles(problem, model, approx, cache, pool)
             t_fact = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            for _ in range(solve_repeats):
+            for _ in range(SOLVE_REPEATS):
                 g = np.array(pool.map_poles(
-                    lambda i: cache.solve(i, rhs), approx.pole_count))
-            t_solve = (time.perf_counter() - t0) / solve_repeats
+                    lambda i: cache.solve(i, problem.f), approx.pole_count))
+            t_solve = (time.perf_counter() - t0) / SOLVE_REPEATS
 
             opr = JacobianOperator(problem, model, approx, cache, pool)
             t0 = time.perf_counter()
@@ -159,15 +161,10 @@ def write_run_artifacts(rundir, state: InversionState, data: DataSet,
     with open(out / "state.json", "w") as fh:
         json.dump(_state_doc(state), fh, indent=1)
 
-    hist = [r.as_dict() for r in state.history]
-    conv_fields = ["nu", "phi", "misfit", "reg_value", "chi2", "lam", "eta",
-                   "accepted", "lsqr_iters", "lsqr_istop", "wall_ms",
-                   "factorizations", "solves", "phi_evals", "phi_before",
-                   "directional_slope"]
     with open(out / "convergence.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=conv_fields, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(IterationRecord)])
         writer.writeheader()
-        writer.writerows(hist)
+        writer.writerows(r.as_dict() for r in state.history)
 
     with open(out / "timing.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

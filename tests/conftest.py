@@ -63,7 +63,7 @@ def small_approx(small_problem):
     channels = rb.TimeChannels.logspaced(1e-6, 1e-3, 7)
     bound = rb.spectral_bound(small_problem, small_problem.reference_model())
     return rb.fit_common_pole(channels, (0.0, 30.0 * bound), 16,
-                              rb.FitConfig(n_log=500, n_lin=500))
+                              rb.FitConfig(grid_size=500))
 
 
 @pytest.fixture(scope="session")

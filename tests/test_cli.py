@@ -193,6 +193,27 @@ def test_bad_workers_option_is_a_usage_error(workdir, capsys, value):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--times-log10", "abc"), ("--times-log10", "-6:-3"), ("--times-log10", "-6:-3:0"),
+    ("--times-log10", "-3:-6:31"), ("--poles", "0"), ("--xmin", "-1"), ("--xmax", "0"),
+])
+def test_bad_fit_rba_input_is_a_usage_error(workdir, capsys, option, value):
+    out = workdir / "fit_bad.json"
+    argv = fit_args(workdir) + ["--out", str(out)]
+    if option in argv:
+        argv[argv.index(option) + 1] = value
+    else:
+        argv += [option, value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse rejected the option
+        code = exc.code
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {option}:" in errors[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "1,x"])
 def test_bad_bench_scaling_workers_is_a_usage_error(workdir, capsys, value):
     out = workdir / "scaling_bad.json"

@@ -21,7 +21,7 @@ def tiny_setup():
     channels = rb.TimeChannels.logspaced(1e-6, 1e-3, 5)
     bound = rb.spectral_bound(prob, prob.reference_model())
     ap = rb.fit_common_pole(channels, (0.0, 10 * bound), 10,
-                            rb.FitConfig(n_log=300, n_lin=300))
+                            rb.FitConfig(grid_size=300))
     data = rb.make_dataset(prob, prob.true_model(), ap, rb.NoiseSpec(eps_r=0.03, seed=3))
     return prob, ap, data
 

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -90,7 +90,7 @@ def test_fit_random_points_bounded_by_fit_error(acc_approx):
 
 
 def test_pole_sweep_monotone(channels31):
-    cfg = FitConfig(n_log=300, n_lin=300)
+    cfg = FitConfig(grid_size=300)
     fits = rb.fit_pole_sweep(channels31, (0.0, 1.1e5), range(8, 22), cfg)
     errs = [f.fit_error for f in fits]
     assert all(f.pole_count == m for f, m in zip(fits, range(8, 22)))
@@ -126,8 +126,7 @@ def test_validate_fit_grid_size_precondition(acc_approx):
 
 
 def test_nonconvergence_reports_best_iterate(channels31):
-    ap = rb.fit_common_pole(channels31, (0.0, 1e5), 6, FitConfig(max_iters=1,
-                                                                 n_log=200, n_lin=200))
+    ap = rb.fit_common_pole(channels31, (0.0, 1e5), 6, FitConfig(max_iters=1, grid_size=200))
     assert not ap.converged
     assert ap.iterations == 1
     assert np.isfinite(ap.fit_error)
@@ -135,7 +134,7 @@ def test_nonconvergence_reports_best_iterate(channels31):
 
 def test_no_per_channel_pole_work(channels31):
     few = rb.TimeChannels.logspaced(1e-6, 1e-3, 3)
-    cfg = FitConfig(max_iters=5, n_log=200, n_lin=200)
+    cfg = FitConfig(max_iters=5, grid_size=200)
     a = rb.fit_common_pole(few, (0.0, 1e5), 6, cfg)
     b = rb.fit_common_pole(channels31, (0.0, 1e5), 6, cfg)
     # one relocation per iteration regardless of channel count, one residue batch
@@ -167,11 +166,30 @@ def test_serialization_roundtrip(tmp_path, acc_approx):
     assert back.fit_error == acc_approx.fit_error
 
 
-def test_relative_weighting_flag(channels31):
-    cfg = FitConfig(n_log=200, n_lin=200, relative_weighting=True, max_iters=20)
-    ap = rb.fit_common_pole(channels31, (0.0, 1e5), 10, cfg)
-    assert np.isfinite(ap.fit_error)
-    assert ap.fit_error < 1e-2
+def test_fit_config_has_three_fields():
+    assert [f.name for f in fields(FitConfig)] == ["max_iters", "grid_size", "initial_poles"]
+
+
+def test_fit_samples_only_inside_a_positive_interval(monkeypatch):
+    # with x_min > 0 the least-squares rows may not come from x = 0 or any
+    # other point below the interval
+    interval = (100.0, 2e6)
+    times = np.geomspace(1e-6, 1e-3, 4)
+    grids = []
+    pair_basis = rba._pair_basis
+
+    def recording_basis(x, poles):
+        grids.append(x)
+        return pair_basis(x, poles)
+
+    monkeypatch.setattr(rba, "_pair_basis", recording_basis)
+    ap = rb.fit_common_pole(rb.TimeChannels(times), interval, 4,
+                            FitConfig(max_iters=3, grid_size=200))
+    rb.refit_residues(ap, rb.TimeChannels(times))
+    assert grids
+    for x in grids:
+        assert x[0] == interval[0] and x[-1] == interval[1]
+        assert np.all((x >= interval[0]) & (x <= interval[1]))
 
 
 def test_fit_preconditions(channels31):
@@ -183,10 +201,9 @@ def test_fit_preconditions(channels31):
         rb.fit_common_pole(rb.TimeChannels(np.array([])), (0.0, 1e5), 4)
 
 
-@pytest.mark.parametrize("relative", [False, True])
-def test_fit_bit_identical_for_any_worker_count(relative):
+def test_fit_bit_identical_for_any_worker_count():
     channels = rb.TimeChannels.logspaced(1e-6, 1e-3, 6)
-    cfg = FitConfig(n_log=300, n_lin=300, max_iters=15, relative_weighting=relative)
+    cfg = FitConfig(grid_size=300, max_iters=15)
     serial = rb.fit_common_pole(channels, (0.0, 1e5), 4, cfg)
     for W in (1, 2, 4):
         with rb.PoleWorkerPool(W) as pool:
@@ -198,7 +215,7 @@ def test_fit_bit_identical_for_any_worker_count(relative):
 
 
 def test_fit_history_has_one_entry_per_iteration(channels31):
-    cfg = FitConfig(n_log=200, n_lin=200, max_iters=12)
+    cfg = FitConfig(grid_size=200, max_iters=12)
     ap = rb.fit_common_pole(channels31, (0.0, 1e5), 6, cfg)
     initial = rb.fit_common_pole(channels31, (0.0, 1e5), 6, replace(cfg, max_iters=0))
     history = ap.stats.history
@@ -207,13 +224,11 @@ def test_fit_history_has_one_entry_per_iteration(channels31):
     assert ap.fit_error == min([initial.fit_error] + [err for err, _ in history])
 
 
-def _denominator_rows_oracle(B, w_j, F_j, m):
-    """``R[2m:, 2m:]`` and ``Q[:, 2m:]^T (w_j F_j)`` from an explicit-Q QR of
-    ``[w_j B | -w_j F_j B]``."""
-    wF = w_j * F_j
-    Q, R = np.linalg.qr(np.concatenate([w_j[:, None] * B, -wF[:, None] * B], axis=1),
-                        mode="reduced")
-    return R[2 * m:, 2 * m:], Q[:, 2 * m:].T @ wF
+def _denominator_rows_oracle(B, F_j, m):
+    """``R[2m:, 2m:]`` and ``Q[:, 2m:]^T F_j`` from an explicit-Q QR of
+    ``[B | -F_j B]``."""
+    Q, R = np.linalg.qr(np.concatenate([B, -F_j[:, None] * B], axis=1), mode="reduced")
+    return R[2 * m:, 2 * m:], Q[:, 2 * m:].T @ F_j
 
 
 def _stacked_cd(rows):
@@ -224,16 +239,14 @@ def _stacked_cd(rows):
     return cd / col
 
 
-@pytest.mark.parametrize("relative", [False, True])
-def test_denominator_rows_match_explicit_q_oracle(relative):
+def test_denominator_rows_match_explicit_q_oracle():
     times = np.geomspace(1e-6, 1e-3, 6)
     m = 4
-    x = rba._training_grid((0.0, 1e5), times[0], 300, 300)
+    x = rba._sample_grid((0.0, 1e5), times[0], 300)
     F = np.exp(-np.outer(times, x))
-    w = 1.0 / np.maximum(np.abs(F), 1e-3) if relative else np.ones_like(F)
     B = rba._pair_basis(x, rba._initial_poles(times, m))
-    got = [rba._denominator_rows(B, w[j], F[j], m) for j in range(times.size)]
-    want = [_denominator_rows_oracle(B, w[j], F[j], m) for j in range(times.size)]
+    got = [rba._denominator_rows(B, F[j], m) for j in range(times.size)]
+    want = [_denominator_rows_oracle(B, F[j], m) for j in range(times.size)]
     assert [(R.shape, b.shape) for R, b in got] == [(R.shape, b.shape) for R, b in want]
     cd, cd_ref = _stacked_cd(got), _stacked_cd(want)
     assert np.linalg.norm(cd - cd_ref) <= 1e-10 * np.linalg.norm(cd_ref)

@@ -110,7 +110,7 @@ def tiny_inversion():
     channels = rb.TimeChannels.logspaced(1e-6, 1e-3, 5)
     bound = rb.spectral_bound(prob, prob.reference_model())
     ap = rb.fit_common_pole(channels, (0.0, 10 * bound), 8,
-                            rb.FitConfig(n_log=200, n_lin=200))
+                            rb.FitConfig(grid_size=200))
     data = rb.make_dataset(prob, prob.true_model(), ap, rb.NoiseSpec(eps_r=0.03, seed=2))
     cache = rb.ShiftedFactorCache()
     state = rb.run_inversion(prob, data, ap,

@@ -75,7 +75,7 @@ def test_vjp_against_dense_jacobian(problem_1d):
     channels = rb.TimeChannels(np.array([1e-3, 1e-2]))
     bound = rb.spectral_bound(problem_1d, problem_1d.reference_model())
     ap = rb.fit_common_pole(channels, (0.0, 2 * bound), 8,
-                            rb.FitConfig(n_log=200, n_lin=200))
+                            rb.FitConfig(grid_size=200))
     model = problem_1d.true_model()
     opr = rb.JacobianOperator(problem_1d, model, ap, rb.ShiftedFactorCache())
     J = opr.dense()
