@@ -16,8 +16,8 @@ from .mesh import (AnomalySpec, Grid, Model, Problem, ProblemSpec, SourceSpec,
                    assemble_M, build_problem, build_source, dM_contract,
                    export_matrices, parse_problem_file, spectral_bound)
 from .rba import (FitConfig, FitReport, PoleCollisionError, RationalApproximant,
-                  TimeChannels, eval_scalar, fit_common_pole, fit_pole_sweep,
-                  load_approximant, refit_residues, save_approximant, validate_fit)
+                  TimeChannels, fit_common_pole, load_approximant, refit_residues,
+                  save_approximant, validate_fit)
 from .regularization import RegOperator, build_reg, reg_value_grad
 from .reporting import (RunReport, TimingModel, consolidate_report,
                         fit_timing_model, pole_solution_checksum,

@@ -58,7 +58,7 @@ def cmd_fit_rba(args) -> int:
     print(f"fit {args.poles} poles over [{args.xmin:g}, {args.xmax:g}]: "
           f"max abs error {approx.fit_error:.3e} "
           f"({approx.iterations} iterations, converged={approx.converged})")
-    for k, (err, move) in enumerate(approx.stats.history, 1):
+    for k, (err, move) in enumerate(approx.history, 1):
         print(f"  iteration {k}: max abs error {err:.3e}, pole move {move:.2e}")
     return 0
 
@@ -229,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-rba", help="fit a shared-pole approximant")
     p.add_argument("--times-log10", required=True,
-                   type=_checked(_parse_times,
-                                 lambda ch: ch.count > 0 and np.all(np.isfinite(ch.times)),
+                   type=_checked(_parse_times, lambda ch: ch.count > 0,
                                  "log10 start:log10 stop:count with start < stop and count >= 1"),
                    help="log10 start:log10 stop:count, e.g. -6:-3:31")
     p.add_argument("--poles", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),

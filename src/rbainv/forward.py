@@ -66,11 +66,9 @@ def response_from_pole_solutions(problem: Problem, approx: RationalApproximant,
 
 def forward_response(problem: Problem, model: Model, approx: RationalApproximant,
                      cache: ShiftedFactorCache, pool: PoleWorkerPool | None = None,
-                     retain_fields: bool = False,
-                     check_residuals: bool = False) -> ForwardResult:
+                     retain_fields: bool = False) -> ForwardResult:
     """Predicted data d_j = Q u(t_j) at every channel of the approximant."""
-    g = solve_all_poles(problem, model, approx, problem.f, cache, pool,
-                        check_residuals=check_residuals)
+    g = solve_all_poles(problem, model, approx, problem.f, cache, pool)
     data, fields = response_from_pole_solutions(problem, approx, g, retain_fields)
     return ForwardResult(data=data, fields=fields, solve_stats=cache.counters.snapshot())
 

@@ -1,5 +1,5 @@
 """Gauss-Newton inversion: augmented LSQR updates, Armijo backtracking with a
-step-length floor and quadratic candidate, and halving-based cooling of the
+step-length floor and a quadratic candidate, and halving-based cooling of the
 regularization weight until the normalized misfit reaches its target.
 
 The update at each iteration approximately minimizes
@@ -42,6 +42,15 @@ __all__ = [
     "run_inversion",
 ]
 
+# Armijo sufficient-decrease constant of the line search
+ARMIJO_C1 = 1e-4
+# smallest step length the line search tries
+ETA_MIN = 2.0 ** -6
+# relative decrease of phi below which lambda is halved
+COOLING_TOL = 1e-3
+# the loop stops once lambda falls below this fraction of its starting value
+LAMBDA_MIN_FACTOR = 2.0 ** -20
+
 
 @dataclass(frozen=True)
 class LsqrConfig:
@@ -54,14 +63,8 @@ class InversionConfig:
     lambda0: float | None = None        # None: balance misfit and a perturbed R
     chi2_target: float = 1.0
     max_gn: int = 30
-    tol_outer: float = 1e-3             # relative phi decrease that triggers cooling
     lsqr: LsqrConfig = field(default_factory=LsqrConfig)
-    c1: float = 1e-4
-    eta_min: float = 2.0 ** -6
-    lambda_min_factor: float = 2.0 ** -20
-    quad_refine: bool = True
     workers: int = 1
-    m0: np.ndarray | None = None
 
 
 @dataclass
@@ -159,33 +162,32 @@ def gn_step(opr: JacobianOperator, reg: RegOperator, data: DataSet,
     return x, int(itn), int(istop)
 
 
-def line_search(phi0: float, directional_slope: float, phi_evaluator,
-                c1: float = 1e-4, eta_min: float = 2.0 ** -6,
-                quad_refine: bool = True) -> LineSearchResult:
-    """Backtracking Armijo search from eta = 1 with halving, a step floor,
-    and one optional quadratic-interpolation candidate that must itself
-    satisfy the Armijo inequality."""
+def line_search(phi0: float, directional_slope: float, phi_evaluator) -> LineSearchResult:
+    """Backtracking Armijo search from eta = 1 with halving down to
+    ``ETA_MIN``; after the first rejected step it tries one
+    quadratic-interpolation candidate, which must itself satisfy the Armijo
+    inequality."""
     eta = 1.0
     n_evals = 0
     quad_tried = False
-    while eta >= eta_min:
+    while eta >= ETA_MIN:
         phi = phi_evaluator(eta)
         n_evals += 1
-        if phi <= phi0 + c1 * eta * directional_slope:
+        if phi <= phi0 + ARMIJO_C1 * eta * directional_slope:
             return LineSearchResult(eta, True, phi, n_evals)
-        if quad_refine and not quad_tried:
+        if not quad_tried:
             quad_tried = True
             denom = 2.0 * (phi - phi0 - directional_slope * eta)
             if denom > 0 and directional_slope < 0:
                 eta_q = -directional_slope * eta * eta / denom
-                eta_q = min(max(eta_q, eta_min), 0.9 * eta)
+                eta_q = min(max(eta_q, ETA_MIN), 0.9 * eta)
                 if eta_q < eta:
                     phi_q = phi_evaluator(eta_q)
                     n_evals += 1
-                    if phi_q <= phi0 + c1 * eta_q * directional_slope:
+                    if phi_q <= phi0 + ARMIJO_C1 * eta_q * directional_slope:
                         return LineSearchResult(eta_q, True, phi_q, n_evals)
         eta *= 0.5
-    return LineSearchResult(eta_min, False, phi0, n_evals)
+    return LineSearchResult(ETA_MIN, False, phi0, n_evals)
 
 
 def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
@@ -203,9 +205,7 @@ def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
                   cfg: InversionConfig, cache: ShiftedFactorCache,
                   pool: PoleWorkerPool) -> InversionState:
     reg = build_reg(problem.grid)
-    ref = problem.reference_model()
-    m_start = cfg.m0 if cfg.m0 is not None else ref.m
-    model = Model(np.asarray(m_start, dtype=float), ref.m_ref)
+    model = problem.reference_model()
     W = data.weights
     n_data = data.size
 
@@ -219,7 +219,7 @@ def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
     g, d_pred, misfit, reg_val = forward_at(model)
     lam = cfg.lambda0 if cfg.lambda0 is not None else default_lambda0(
         problem, data, reg, d_pred, model)
-    lam_min = lam * cfg.lambda_min_factor
+    lam_min = lam * LAMBDA_MIN_FACTOR
     phi = misfit + lam * reg_val
     chi2 = 2.0 * misfit / n_data
 
@@ -249,8 +249,7 @@ def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
             evals[eta] = (trial, out)
             return out[2] + lam * out[3]
 
-        ls = line_search(phi, slope, phi_eval, c1=cfg.c1, eta_min=cfg.eta_min,
-                         quad_refine=cfg.quad_refine)
+        ls = line_search(phi, slope, phi_eval)
         if not ls.accepted:
             # the trials replaced the factors of the model the next operator is built at
             factorize_all_poles(problem, model, approx, cache, pool)
@@ -281,7 +280,7 @@ def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
         if increase_streak >= 3:
             state.diagnostic = "divergence guard: objective rose on 3 consecutive accepted steps"
             break
-        if not ls.accepted or rel_decrease < cfg.tol_outer:
+        if not ls.accepted or rel_decrease < COOLING_TOL:
             lam *= 0.5
             if lam < lam_min:
                 state.diagnostic = "lambda floor reached"

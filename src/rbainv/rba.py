@@ -14,7 +14,7 @@ independent of the number of time channels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf
@@ -24,14 +24,11 @@ from .pool import PoleWorkerPool
 __all__ = [
     "TimeChannels",
     "FitConfig",
-    "FitStats",
     "FitReport",
     "RationalApproximant",
     "PoleCollisionError",
     "fit_common_pole",
-    "fit_pole_sweep",
     "refit_residues",
-    "eval_scalar",
     "validate_fit",
     "save_approximant",
     "load_approximant",
@@ -58,8 +55,8 @@ class TimeChannels:
 
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.times, dtype=float))
-        if t.size and (np.any(t <= 0) or np.any(np.diff(t) <= 0)):
-            raise ValueError("times must be strictly increasing and positive")
+        if t.size and not (np.all(np.isfinite(t)) and np.all(t > 0) and np.all(np.diff(t) > 0)):
+            raise ValueError("times must be finite, positive and strictly increasing")
         object.__setattr__(self, "times", t)
 
     @property
@@ -68,32 +65,15 @@ class TimeChannels:
 
     @classmethod
     def logspaced(cls, t_min: float, t_max: float, count: int) -> "TimeChannels":
-        return cls(np.geomspace(t_min, t_max, count))
+        with np.errstate(invalid="ignore"):     # non-finite bounds: rejected below
+            times = np.geomspace(t_min, t_max, count)
+        return cls(times)
 
 
 @dataclass(frozen=True)
 class FitConfig:
     max_iters: int = 50
     grid_size: int = 1000           # points per segment of the training grid
-    initial_poles: np.ndarray | None = None  # warm start (upper-half representatives)
-
-
-@dataclass
-class FitStats:
-    """Instrumentation for the fitting loop.
-
-    Pole relocation happens once per iteration on the joint system, so
-    ``pole_relocations`` never scales with the channel count; the residues
-    for all channels come from a single batched least-squares solve.
-    ``history`` holds one ``(max_error, pole_move)`` pair per iteration: the
-    validation error at the relocated poles and their largest relative
-    movement.
-    """
-
-    iterations: int = 0
-    pole_relocations: int = 0
-    residue_batches: int = 0
-    history: list[tuple[float, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -102,7 +82,6 @@ class FitReport:
 
     max_abs: float
     per_channel_max_abs: np.ndarray
-    per_channel_max_rel: np.ndarray
     grid_size: int
 
 
@@ -112,6 +91,9 @@ class RationalApproximant:
 
     poles : (m,) complex, upper-half-plane representatives of conjugate pairs
     residues : (m, K_t) complex, ``residues[i, j]`` pairs pole i with channel j
+    history : one ``(max_error, pole_move)`` pair per fit iteration: the
+        validation error at the relocated poles and their largest relative
+        movement
     """
 
     poles: np.ndarray
@@ -120,8 +102,7 @@ class RationalApproximant:
     fit_error: float
     channels: TimeChannels
     converged: bool = True
-    iterations: int = 0
-    stats: FitStats = field(default_factory=FitStats)
+    history: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         poles = np.atleast_1d(np.asarray(self.poles, dtype=complex))
@@ -138,16 +119,15 @@ class RationalApproximant:
     def pole_count(self) -> int:
         return self.poles.size
 
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
+
     def eval(self, x) -> np.ndarray:
         """Evaluate every channel at real arguments ``x``; returns (len(x), K_t)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         r = 1.0 / (x[:, None] - self.poles[None, :])
         return 2.0 * np.real(r @ self.residues)
-
-
-def eval_scalar(approx: RationalApproximant, x: float, j: int) -> float:
-    """Value of channel ``j`` at a single real argument."""
-    return float(2.0 * np.real(np.sum(approx.residues[:, j] / (x - approx.poles))))
 
 
 def _check_collisions(poles: np.ndarray, tol: float) -> None:
@@ -319,20 +299,14 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
     x_val = _sample_grid((x_min, x_max), times[0], 2001)
     F_val = np.exp(-np.outer(times, x_val))
 
-    if cfg.initial_poles is not None:
-        poles = np.asarray(cfg.initial_poles, dtype=complex).copy()
-        if poles.size != m:
-            raise ValueError("initial_poles length must equal pole_count")
-    else:
-        poles = _initial_poles(times, m)
-
-    stats = FitStats()
+    poles = _initial_poles(times, m)
+    history = []
     best_err, best_alpha = _residues_and_error(x, F, x_val, F_val, poles)
     best_poles = poles.copy()
     converged = False
     stall = 0
 
-    for it in range(cfg.max_iters):
+    for _ in range(cfg.max_iters):
         B = _pair_basis(x, poles)          # (G, 2m)
 
         rows = pool.map_poles(lambda j: _denominator_rows(B, F[j], m), times.size)
@@ -344,8 +318,6 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         cd = cd / col
 
         new_poles = _relocate_poles(poles, cd[:m], cd[m:])
-        stats.pole_relocations += 1
-        stats.iterations = it + 1
         _check_collisions(new_poles, COLLISION_TOL)
 
         old_sorted = poles[np.lexsort((poles.real, poles.imag))]
@@ -353,7 +325,7 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         poles = new_poles
 
         err, alpha = _residues_and_error(x, F, x_val, F_val, poles)
-        stats.history.append((float(err), float(move)))
+        history.append((float(err), float(move)))
         if err < best_err:
             best_err, best_alpha, best_poles = err, alpha, poles.copy()
             stall = 0
@@ -366,7 +338,6 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         if stall >= STALL_ITERS:
             break
 
-    stats.residue_batches += 1
     return RationalApproximant(
         poles=best_poles,
         residues=best_alpha,
@@ -374,52 +345,8 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         fit_error=float(best_err),
         channels=channels,
         converged=converged,
-        iterations=stats.iterations,
-        stats=stats,
+        history=tuple(history),
     )
-
-
-def fit_pole_sweep(channels: TimeChannels, spectral_interval, pole_counts,
-                   fit_cfg: FitConfig | None = None) -> list[RationalApproximant]:
-    """Fit an increasing sequence of pole counts, warm-starting each fit
-    from the previous pole set plus one fresh pole.
-
-    The warm start means the candidate pool for count m+1 contains the
-    count-m solution, so the reported errors are non-increasing apart from
-    grid-sampling noise at the numerical floor.
-    """
-    cfg = fit_cfg or FitConfig()
-    out: list[RationalApproximant] = []
-    prev_poles = None
-    for m in sorted(pole_counts):
-        if prev_poles is not None and prev_poles.size == m - 1:
-            extra = _initial_poles(channels.times, 1) * (1.0 + 1e-3)
-            while np.min(np.abs(prev_poles - extra[0])) < 1e-3 * np.max(np.abs(prev_poles)):
-                extra *= 1.37
-            init = np.concatenate([prev_poles, extra])
-            cand = [fit_common_pole(channels, spectral_interval, m, replace(cfg, initial_poles=init)),
-                    fit_common_pole(channels, spectral_interval, m, replace(cfg, initial_poles=None))]
-            fit = min(cand, key=lambda a: a.fit_error)
-            if out and fit.fit_error > out[-1].fit_error:
-                # no measurable gain from the extra pole (this only happens at
-                # the double-precision floor): embed the previous solution in
-                # the larger parameterization with a zero residue, which
-                # reproduces its values exactly
-                prev = out[-1]
-                fit = RationalApproximant(
-                    poles=np.concatenate([prev.poles, extra]),
-                    residues=np.vstack([prev.residues, np.zeros((1, channels.count), complex)]),
-                    spectral_interval=prev.spectral_interval,
-                    fit_error=prev.fit_error,
-                    channels=channels,
-                    converged=prev.converged,
-                    iterations=prev.iterations,
-                )
-        else:
-            fit = fit_common_pole(channels, spectral_interval, m, cfg)
-        out.append(fit)
-        prev_poles = fit.poles
-    return out
 
 
 def refit_residues(approx: RationalApproximant, channels: TimeChannels,
@@ -443,25 +370,19 @@ def refit_residues(approx: RationalApproximant, channels: TimeChannels,
 
 
 def validate_fit(approx: RationalApproximant, grid_size: int) -> FitReport:
-    """Accuracy audit on a refined grid; relative errors where the target
-    exceeds a floor of 1e-12."""
+    """Accuracy audit on a refined grid."""
     if grid_size < 10:
         raise ValueError("grid_size must be >= 10")
     K = approx.channels.count
     if K == 0:
-        return FitReport(0.0, np.empty(0), np.empty(0), 0)
+        return FitReport(0.0, np.empty(0), 0)
     x = _sample_grid(approx.spectral_interval, approx.channels.times[0], grid_size)
     target = np.exp(-np.outer(approx.channels.times, x))   # (K, G)
     got = approx.eval(x).T
     abs_err = np.abs(got - target)
-    defined = target > 1e-12
-    rel = np.where(defined, abs_err / np.where(defined, target, 1.0), np.nan)
-    with np.errstate(all="ignore"):
-        per_rel = np.nanmax(rel, axis=1)
     return FitReport(
         max_abs=float(np.max(abs_err)),
         per_channel_max_abs=np.max(abs_err, axis=1),
-        per_channel_max_rel=per_rel,
         grid_size=x.size,
     )
 

@@ -152,8 +152,8 @@ def write_run_artifacts(rundir, state: InversionState, data: DataSet,
 
     residual_heatmap.csv has one row per time channel and one column per
     receiver holding the weighted residuals; transients.csv is long-format
-    (receiver, time, observed, predicted); convergence.csv and timing.csv
-    mirror the history.
+    (receiver, time, observed, predicted); convergence.csv has one row per
+    history record.
     """
     out = Path(rundir)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,12 +165,6 @@ def write_run_artifacts(rundir, state: InversionState, data: DataSet,
         writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(IterationRecord)])
         writer.writeheader()
         writer.writerows(r.as_dict() for r in state.history)
-
-    with open(out / "timing.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["nu", "lsqr_iters", "wall_ms"])
-        for r in state.history:
-            writer.writerow([r.nu, r.lsqr_iters, r.wall_ms])
 
     K_t = approx.channels.count
     M_r = problem.receiver_count

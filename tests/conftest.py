@@ -107,6 +107,11 @@ def inv_approx(inv_problem, channels31):
     return rb.fit_common_pole(channels31, (0.0, 30.0 * bound), 21)
 
 
+def shifted_matrix(problem, model, pole):
+    """K - pole * M(model): the matrix the cache factorizes for ``pole``."""
+    return problem.K - pole * rb.assemble_M(problem, model)
+
+
 def in_box(points, box):
     ok = (points[:, 0] >= box[0]) & (points[:, 0] <= box[1])
     if points.shape[1] == 2:

@@ -195,7 +195,8 @@ def test_bad_workers_option_is_a_usage_error(workdir, capsys, value):
 
 @pytest.mark.parametrize("option,value", [
     ("--times-log10", "abc"), ("--times-log10", "-6:-3"), ("--times-log10", "-6:-3:0"),
-    ("--times-log10", "-3:-6:31"), ("--poles", "0"), ("--xmin", "-1"), ("--xmax", "0"),
+    ("--times-log10", "-3:-6:31"), ("--times-log10", "nan:-3:4"), ("--times-log10", "-6:inf:4"),
+    ("--poles", "0"), ("--xmin", "-1"), ("--xmax", "0"),
 ])
 def test_bad_fit_rba_input_is_a_usage_error(workdir, capsys, option, value):
     out = workdir / "fit_bad.json"

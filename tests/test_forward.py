@@ -5,6 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import rbainv as rb
+from conftest import shifted_matrix
 
 
 def manual_problem(k_diag, mass_diag):
@@ -86,8 +87,11 @@ def test_oracle_dense_limit(small_problem):
 def test_forward_matches_oracle(acc_problem, acc_approx):
     model = acc_problem.true_model()
     cache = rb.ShiftedFactorCache()
-    res = rb.forward_response(acc_problem, model, acc_approx, cache,
-                              retain_fields=True, check_residuals=True)
+    res = rb.forward_response(acc_problem, model, acc_approx, cache, retain_fields=True)
+    g = rb.solve_all_poles(acc_problem, model, acc_approx, acc_problem.f, cache)
+    for xi, g_i in zip(acc_approx.poles, g):
+        A = shifted_matrix(acc_problem, model, xi)
+        assert np.linalg.norm(A @ g_i - acc_problem.f) <= 1e-8 * np.linalg.norm(acc_problem.f)
     U = rb.dense_expm_oracle(acc_problem, model, acc_approx.channels.times)
     for j in range(acc_approx.channels.count):
         rel = np.linalg.norm(res.fields[j] - U[j]) / np.linalg.norm(U[j])
