@@ -24,6 +24,11 @@ from . import (FitConfig, InversionConfig, LsqrConfig, Model, NoiseSpec,
 from .pool import parse_worker_count
 
 
+class UsageError(Exception):
+    """Bad command input found after parsing; `main` reports it as one
+    error line and exit status 2."""
+
+
 def _parse_times(text: str) -> TimeChannels:
     """'-6:-3:31' -> 31 log-spaced times between 1e-6 and 1e-3 seconds."""
     lo, hi, count = text.split(":")
@@ -42,14 +47,20 @@ def _load_model(problem, path: str | None) -> Model:
     with open(path) as fh:
         doc = json.load(fh)
     ref = problem.reference_model()
-    return Model(np.asarray(doc["m"], dtype=float), ref.m_ref)
+    try:
+        m = np.asarray(doc["m"], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        m = None
+    if m is None or m.shape != ref.m.shape or not np.all(np.isfinite(m)):
+        raise UsageError(f"argument --model: expected a JSON object whose \"m\" is a list "
+                         f"of {ref.m.size} finite numbers, one per cell")
+    return Model(m, ref.m_ref)
 
 
 def cmd_fit_rba(args) -> int:
     if not args.xmin < args.xmax < np.inf:
-        print(f"rbainv fit-rba: error: argument --xmax: expected a finite number "
-              f"> --xmin ({args.xmin:g}), got {args.xmax:g}", file=sys.stderr)
-        return 2
+        raise UsageError(f"argument --xmax: expected a finite number > --xmin "
+                         f"({args.xmin:g}), got {args.xmax:g}")
     cfg = FitConfig(max_iters=args.max_iters)
     with PoleWorkerPool(args.workers) as pool:
         approx = fit_common_pole(args.times_log10, (args.xmin, args.xmax), args.poles,
@@ -67,18 +78,18 @@ def cmd_forward(args) -> int:
     problem = _load_problem(args.problem)
     model = _load_model(problem, args.model)
     approx = load_approximant(args.approx)
-    with PoleWorkerPool(args.workers) as pool:
-        result = forward_response(problem, model, approx, ShiftedFactorCache(), pool)
+    with ShiftedFactorCache(args.workers) as cache:
+        result = forward_response(problem, model, approx, cache)
     doc = {
         "data": result.data.tolist(),
         "times": approx.channels.times.tolist(),
         "receivers": problem.receivers.tolist(),
-        "counters": result.solve_stats,
+        "counters": cache.counters.snapshot(),
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh)
     print(f"forward response: {result.data.size} data "
-          f"({result.solve_stats['factorizations']} factorizations)")
+          f"({cache.counters.factorizations} factorizations)")
     return 0
 
 
@@ -86,15 +97,14 @@ def cmd_verify(args) -> int:
     problem = _load_problem(args.problem)
     model = _load_model(problem, args.model)
     approx = load_approximant(args.approx)
-    cache = ShiftedFactorCache()
 
     rng = np.random.default_rng(args.seed)
     direction = rng.standard_normal(problem.grid.cell_count)
     direction /= np.max(np.abs(direction))
     h_values = 10.0 ** np.arange(-1, -6, -1, dtype=float)
-    with PoleWorkerPool(args.workers) as pool:
-        taylor = taylor_test(problem, model, approx, direction, h_values, cache, pool)
-        opr = JacobianOperator(problem, model, approx, cache, pool)
+    with ShiftedFactorCache(args.workers) as cache:
+        taylor = taylor_test(problem, model, approx, direction, h_values, cache)
+        opr = JacobianOperator(problem, model, approx, cache)
         mismatch = adjoint_test(opr, trials=args.trials, seed=args.seed)
 
     out = Path(args.out)
@@ -148,8 +158,7 @@ def cmd_invert(args) -> int:
     approx = load_approximant(args.approx)
     mismatch = _input_mismatch(problem, data, approx)
     if mismatch is not None:
-        print(f"rbainv invert: error: {mismatch}", file=sys.stderr)
-        return 2
+        raise UsageError(mismatch)
     cfg = InversionConfig(
         lambda0=args.lambda0,
         chi2_target=args.chi2_target,
@@ -254,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--approx", required=True)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
+                   default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
     p.add_argument("--out", required=True)
@@ -264,8 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--model", default="true")
     p.add_argument("--approx", required=True)
-    p.add_argument("--eps-r", type=float, default=0.03)
-    p.add_argument("--eps-a", type=float, default=None)
+    p.add_argument("--eps-r", type=_checked(float, lambda x: 0.0 <= x < np.inf,
+                                            "a finite number >= 0"), default=0.03)
+    p.add_argument("--eps-a", type=_checked(float, lambda x: 0.0 < x < np.inf,
+                                            "a finite number > 0"), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_make_data)
@@ -315,7 +327,11 @@ def main(argv=None) -> int:
             args.workers = default_worker_count()
         except ValueError as exc:
             parser.error(str(exc))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

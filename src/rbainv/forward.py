@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .mesh import Model, Problem, assemble_M
 from .rba import RationalApproximant
-from .shifted import PoleWorkerPool, ShiftedFactorCache, solve_all_poles
+from .shifted import ShiftedFactorCache, solve_all_poles
 
 __all__ = [
     "ForwardResult",
@@ -33,7 +33,6 @@ __all__ = [
 class ForwardResult:
     data: np.ndarray                 # (M_r * K_t,) stacked channel-major
     fields: np.ndarray | None        # (K_t, N) when retained
-    solve_stats: dict
 
 
 @dataclass
@@ -65,12 +64,11 @@ def response_from_pole_solutions(problem: Problem, approx: RationalApproximant,
 
 
 def forward_response(problem: Problem, model: Model, approx: RationalApproximant,
-                     cache: ShiftedFactorCache, pool: PoleWorkerPool | None = None,
-                     retain_fields: bool = False) -> ForwardResult:
+                     cache: ShiftedFactorCache, retain_fields: bool = False) -> ForwardResult:
     """Predicted data d_j = Q u(t_j) at every channel of the approximant."""
-    g = solve_all_poles(problem, model, approx, problem.f, cache, pool)
+    g = solve_all_poles(problem, model, approx, problem.f, cache)
     data, fields = response_from_pole_solutions(problem, approx, g, retain_fields)
-    return ForwardResult(data=data, fields=fields, solve_stats=cache.counters.snapshot())
+    return ForwardResult(data=data, fields=fields)
 
 
 def dense_expm_oracle(problem: Problem, model: Model, times,

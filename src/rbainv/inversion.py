@@ -25,8 +25,7 @@ from .mesh import Model, Problem
 from .rba import RationalApproximant
 from .regularization import RegOperator, build_reg, reg_value_grad
 from .sensitivity import JacobianOperator
-from .shifted import (PoleWorkerPool, ShiftedFactorCache, factorize_all_poles,
-                      solve_all_poles)
+from .shifted import ShiftedFactorCache, factorize_all_poles, solve_all_poles
 from .synthetic import DataSet
 
 __all__ = [
@@ -191,26 +190,23 @@ def line_search(phi0: float, directional_slope: float, phi_evaluator) -> LineSea
 
 
 def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
-                  cfg: InversionConfig | None = None,
-                  cache: ShiftedFactorCache | None = None) -> InversionState:
+                  cfg: InversionConfig | None = None) -> InversionState:
     """Full Gauss-Newton loop with cooling; history rows carry everything
     needed to replay the objective and the Armijo bookkeeping."""
     cfg = cfg or InversionConfig()
-    cache = cache or ShiftedFactorCache()
-    with PoleWorkerPool(cfg.workers) as pool:
-        return _gauss_newton(problem, data, approx, cfg, cache, pool)
+    with ShiftedFactorCache(cfg.workers) as cache:
+        return _gauss_newton(problem, data, approx, cfg, cache)
 
 
 def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
-                  cfg: InversionConfig, cache: ShiftedFactorCache,
-                  pool: PoleWorkerPool) -> InversionState:
+                  cfg: InversionConfig, cache: ShiftedFactorCache) -> InversionState:
     reg = build_reg(problem.grid)
     model = problem.reference_model()
     W = data.weights
     n_data = data.size
 
     def forward_at(mdl: Model):
-        g = solve_all_poles(problem, mdl, approx, problem.f, cache, pool)
+        g = solve_all_poles(problem, mdl, approx, problem.f, cache)
         d, _ = response_from_pole_solutions(problem, approx, g)
         mis = 0.5 * float(np.sum((W * (d - data.d_obs)) ** 2))
         rv, _ = reg_value_grad(reg, mdl)
@@ -234,7 +230,7 @@ def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
         t0 = time.perf_counter()
         counters0 = cache.counters.snapshot()
 
-        opr = JacobianOperator(problem, model, approx, cache, pool, pole_solutions=g)
+        opr = JacobianOperator(problem, model, approx, cache, pole_solutions=g)
         residual = d_pred - data.d_obs
         grad = opr.vjp(W * W * residual) + lam * (reg.L @ (model.m - model.m_ref))
         dm, lsqr_iters, istop = gn_step(opr, reg, data, d_pred, model, lam, cfg.lsqr)
@@ -252,7 +248,7 @@ def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
         ls = line_search(phi, slope, phi_eval)
         if not ls.accepted:
             # the trials replaced the factors of the model the next operator is built at
-            factorize_all_poles(problem, model, approx, cache, pool)
+            factorize_all_poles(problem, model, approx, cache)
         wall_ms = (time.perf_counter() - t0) * 1e3
         counters1 = cache.counters.snapshot()
 

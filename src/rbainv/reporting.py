@@ -15,7 +15,7 @@ from .inversion import InversionState, IterationRecord
 from .mesh import Model, Problem
 from .rba import RationalApproximant
 from .sensitivity import JacobianOperator
-from .shifted import PoleWorkerPool, ShiftedFactorCache, factorize_all_poles
+from .shifted import ShiftedFactorCache, factorize_all_poles, solve_all_poles
 from .synthetic import DataSet
 
 __all__ = [
@@ -100,19 +100,17 @@ def scaling_benchmark(problem: Problem, model: Model, approx: RationalApproximan
     rows = []
     t1_total = None
     for w in worker_counts:
-        cache = ShiftedFactorCache()
-        with PoleWorkerPool(w) as pool:
+        with ShiftedFactorCache(w) as cache:
             t0 = time.perf_counter()
-            factorize_all_poles(problem, model, approx, cache, pool)
+            factorize_all_poles(problem, model, approx, cache)
             t_fact = time.perf_counter() - t0
 
             t0 = time.perf_counter()
             for _ in range(SOLVE_REPEATS):
-                g = np.array(pool.map_poles(
-                    lambda i: cache.solve(i, problem.f), approx.pole_count))
+                g = solve_all_poles(problem, model, approx, problem.f, cache)
             t_solve = (time.perf_counter() - t0) / SOLVE_REPEATS
 
-            opr = JacobianOperator(problem, model, approx, cache, pool)
+            opr = JacobianOperator(problem, model, approx, cache)
             t0 = time.perf_counter()
             opr.vjp(opr.jvp(np.ones(opr.shape[1])))
             t_jac = time.perf_counter() - t0

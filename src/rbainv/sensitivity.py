@@ -22,7 +22,7 @@ import numpy as np
 from .forward import response_from_pole_solutions
 from .mesh import Model, Problem, dM_transpose_blocks
 from .rba import RationalApproximant
-from .shifted import PoleWorkerPool, ShiftedFactorCache, solve_all_poles
+from .shifted import ShiftedFactorCache, solve_all_poles
 
 __all__ = [
     "JacobianOperator",
@@ -35,7 +35,7 @@ __all__ = [
 class JacobianOperator:
     """Jacobian of the data map at one model, applied matrix-free.
 
-    Holds the pole solutions g_i and, per pool worker p, one block-diagonal
+    Holds the pole solutions g_i and, per cache worker p, one block-diagonal
     CSR B_p = blockdiag(dM(g_i)^T) over the poles i = p mod W that p owns.
     A Jacobian action maps one task per worker: one product with B_p (or its
     CSC transpose), that worker's solves, and one product with Q.  The
@@ -45,23 +45,20 @@ class JacobianOperator:
     """
 
     def __init__(self, problem: Problem, model: Model, approx: RationalApproximant,
-                 cache: ShiftedFactorCache, pool: PoleWorkerPool | None = None,
-                 pole_solutions: np.ndarray | None = None):
+                 cache: ShiftedFactorCache, pole_solutions: np.ndarray | None = None):
         self.problem = problem
         self.model = model
         self.approx = approx
         self.cache = cache
-        self.pool = pool or PoleWorkerPool(1)
         self.model_tag = model.version_tag()
         if pole_solutions is None:
-            pole_solutions = solve_all_poles(problem, model, approx, problem.f,
-                                             cache, self.pool)
+            pole_solutions = solve_all_poles(problem, model, approx, problem.f, cache)
         self.g = pole_solutions
         self.shape = (problem.receiver_count * approx.channels.count,
                       problem.grid.cell_count)
         self._Qc = problem.Q.astype(complex)
-        stride = self.pool.workers
-        self._blocks = self.pool.map_poles(
+        stride = cache.pool.workers
+        self._blocks = cache.pool.map_poles(
             lambda p: dM_transpose_blocks(problem, model, self.g[p::stride]),
             min(stride, approx.pole_count))
 
@@ -72,9 +69,10 @@ class JacobianOperator:
     def _map_workers(self, work) -> list:
         """Run ``work(p, poles)`` once per worker; returns per-pole results in
         pole order, where ``work`` returns one row per pole it was given."""
-        stride = self.pool.workers
+        pool = self.cache.pool
+        stride = pool.workers
         m = self.approx.pole_count
-        rows = self.pool.map_poles(lambda p: work(p, range(p, m, stride)), len(self._blocks))
+        rows = pool.map_poles(lambda p: work(p, range(p, m, stride)), len(self._blocks))
         return [rows[i % stride][i // stride] for i in range(m)]
 
     def jvp(self, v: np.ndarray) -> np.ndarray:
@@ -148,8 +146,7 @@ def _loglog_slope(h: np.ndarray, e: np.ndarray, mask: np.ndarray) -> float:
 
 def taylor_test(problem: Problem, model: Model, approx: RationalApproximant,
                 direction: np.ndarray, h_values,
-                cache: ShiftedFactorCache | None = None,
-                pool: PoleWorkerPool | None = None) -> TaylorReport:
+                cache: ShiftedFactorCache | None = None) -> TaylorReport:
     """Remainder decay of the linearization along one direction.
 
     e0(h) = |d(m + h dm) - d(m)| should shrink like h, and the first-order
@@ -160,19 +157,18 @@ def taylor_test(problem: Problem, model: Model, approx: RationalApproximant,
     if h_values.size < 4 or h_values[0] / h_values[-1] < 100.0:
         raise ValueError("need at least 4 step sizes spanning at least 2 decades")
     cache = cache or ShiftedFactorCache()
-    pool = pool or PoleWorkerPool(1)
     direction = np.asarray(direction, dtype=float)
 
-    g0 = solve_all_poles(problem, model, approx, problem.f, cache, pool)
+    g0 = solve_all_poles(problem, model, approx, problem.f, cache)
     d0, _ = response_from_pole_solutions(problem, approx, g0)
-    opr = JacobianOperator(problem, model, approx, cache, pool, pole_solutions=g0)
+    opr = JacobianOperator(problem, model, approx, cache, pole_solutions=g0)
     jd = opr.jvp(direction)
 
     e0 = np.zeros_like(h_values)
     e1 = np.zeros_like(h_values)
     for k, h in enumerate(h_values):
         trial = model.perturbed(direction, h)
-        g = solve_all_poles(problem, trial, approx, problem.f, cache, pool)
+        g = solve_all_poles(problem, trial, approx, problem.f, cache)
         d, _ = response_from_pole_solutions(problem, approx, g)
         e0[k] = np.linalg.norm(d - d0)
         e1[k] = np.linalg.norm(d - d0 - h * jd)

@@ -2,14 +2,14 @@
 
 Every pole gets its own complex direct factorization, cached per model
 version so forward responses, Jacobian actions and adjoint actions all
-reuse the same factors.  Workers own disjoint pole subsets and never share
+reuse the same factors.  Each cache owns the pole workers that make, use
+and free its factors; workers own disjoint pole subsets and never share
 mutable state, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,20 +66,22 @@ class CacheCounters:
 class ShiftedFactorCache:
     """One factorization of A_i(m) per pole, tagged with its model version.
 
-    SuperLU frees a factor only on the thread that made it; a factor whose
-    last reference goes on another thread is never freed.  So every factor
-    is dropped on the pool worker that owns its pole.  `activate` only moves
-    the current tag; `factorize` frees a pole's stale factor on that pole's
-    worker before making the next; and `factorize_all_poles` binds the cache
-    to its pool, which has the cache `release` every factor before the pool
-    closes.  Counter updates are locked so pole workers can run concurrently.
+    The cache owns ``workers`` pole workers (`pool`), and every function
+    that solves with it runs on them.  SuperLU frees a factor only on the
+    thread that made it; a factor whose last reference goes on another
+    thread is never freed.  So every factor is dropped on the worker that
+    owns its pole: `activate` only moves the current tag, `factorize` frees
+    a pole's stale factor on that pole's worker before making the next, and
+    `close` drops every factor on its worker before stopping the workers.
+    A one-worker cache runs on the calling thread and needs no `close`.
+    Counter updates are locked so pole workers can run concurrently.
     """
 
-    def __init__(self):
+    def __init__(self, workers: int = 1):
         self.entries: dict[int, tuple[str | None, _Factor]] = {}
         self.counters = CacheCounters()
         self.current_tag: str | None = None
-        self._pool = lambda: None      # weak reference to the owning pool: no cycle
+        self.pool = PoleWorkerPool(workers)
         self._lock = threading.Lock()
 
     def activate(self, tag: str) -> None:
@@ -98,31 +100,23 @@ class ShiftedFactorCache:
             self.entries[i] = (self.current_tag, factor)
             self.counters.factorizations += 1
 
-    def bind(self, pool: PoleWorkerPool) -> None:
-        """Make ``pool``'s workers the owners of this cache's factors.
-
-        A one-worker pool runs on the calling thread, so all of them count
-        as one owner.  Moving to another owner first releases every factor.
-        """
-        owner = pool if pool.workers > 1 else None
-        if owner is not self._pool():
-            self.release()
-            if owner is not None:
-                self._pool = weakref.ref(owner)
-                owner.hold(self)
-
-    def release(self) -> None:
-        """Drop every factor on the worker that made it."""
-        pool, self._pool = self._pool(), lambda: None
-        if pool is not None:
-            pool.unhold(self)
+    def close(self) -> None:
+        """Drop every factor on the worker that made it, then stop the
+        workers; a later call starts new ones."""
         entries = self.entries
 
         def drop(i: int) -> None:      # returns nothing: the factor must not reach this thread
             entries.pop(i, None)
 
         if entries:
-            (pool or PoleWorkerPool(1)).map_poles(drop, max(entries) + 1)
+            self.pool.map_poles(drop, max(entries) + 1)
+        self.pool.close()
+
+    def __enter__(self) -> "ShiftedFactorCache":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _factor(self, i: int) -> _Factor:
         if not self.has(i):
@@ -137,14 +131,12 @@ class ShiftedFactorCache:
 
 
 def factorize_all_poles(problem: Problem, model: Model, approx: RationalApproximant,
-                        cache: ShiftedFactorCache, pool: PoleWorkerPool | None = None) -> None:
+                        cache: ShiftedFactorCache) -> None:
     """Ensure every A_i = K - xi_i M(m) is factorized for the current model.
 
     Maps over every pole, not only the missing ones, so that pole i is
     (re)factorized on the worker that owns it and made its stale factor.
     """
-    pool = pool or PoleWorkerPool(1)
-    cache.bind(pool)
     cache.activate(model.version_tag())
     if all(cache.has(i) for i in range(approx.pole_count)):
         return
@@ -155,17 +147,15 @@ def factorize_all_poles(problem: Problem, model: Model, approx: RationalApproxim
         if not cache.has(i):
             cache.factorize(i, K - approx.poles[i] * M)
 
-    pool.map_poles(work, approx.pole_count)
+    cache.pool.map_poles(work, approx.pole_count)
 
 
 def solve_all_poles(problem: Problem, model: Model, approx: RationalApproximant,
-                    rhs: np.ndarray, cache: ShiftedFactorCache,
-                    pool: PoleWorkerPool | None = None) -> np.ndarray:
+                    rhs: np.ndarray, cache: ShiftedFactorCache) -> np.ndarray:
     """Solve A_i g_i = rhs for every pole; returns (m, N) complex array.
 
     Factorizes on demand, reusing any factors already cached for this model
     version.
     """
-    pool = pool or PoleWorkerPool(1)
-    factorize_all_poles(problem, model, approx, cache, pool)
-    return np.array(pool.map_poles(lambda i: cache.solve(i, rhs), approx.pole_count))
+    factorize_all_poles(problem, model, approx, cache)
+    return np.array(cache.pool.map_poles(lambda i: cache.solve(i, rhs), approx.pole_count))

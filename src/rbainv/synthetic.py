@@ -16,7 +16,7 @@ import numpy as np
 from .forward import forward_response
 from .mesh import Model, Problem
 from .rba import RationalApproximant
-from .shifted import PoleWorkerPool, ShiftedFactorCache
+from .shifted import ShiftedFactorCache
 
 __all__ = ["NoiseSpec", "DataSet", "make_dataset", "save_dataset", "load_dataset"]
 
@@ -61,11 +61,10 @@ class DataSet:
 
 
 def make_dataset(problem: Problem, true_model: Model, approx: RationalApproximant,
-                 noise: NoiseSpec, cache: ShiftedFactorCache | None = None,
-                 pool: PoleWorkerPool | None = None) -> DataSet:
+                 noise: NoiseSpec, cache: ShiftedFactorCache | None = None) -> DataSet:
     """Forward-model the true model and add seeded Gaussian noise."""
     cache = cache or ShiftedFactorCache()
-    d_clean = forward_response(problem, true_model, approx, cache, pool).data
+    d_clean = forward_response(problem, true_model, approx, cache).data
     eps_a = noise.eps_a if noise.eps_a is not None else 1e-6 * np.max(np.abs(d_clean))
     if eps_a <= 0:
         raise ValueError("resolved eps_a must be > 0 (zero response?)")

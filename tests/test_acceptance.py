@@ -213,8 +213,8 @@ def test_criterion_8_parallel_determinism(inv_problem, inv_approx,
     model = inv_problem.true_model()
     checksums = []
     for W in (1, 2, 4, 8):
-        g = rb.solve_all_poles(inv_problem, model, inv_approx, inv_problem.f,
-                               rb.ShiftedFactorCache(), rb.PoleWorkerPool(W))
+        with rb.ShiftedFactorCache(W) as cache:
+            g = rb.solve_all_poles(inv_problem, model, inv_approx, inv_problem.f, cache)
         checksums.append(rb.pole_solution_checksum(g))
 
     data = rb.make_dataset(small_problem, small_problem.true_model(), small_approx,

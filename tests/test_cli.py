@@ -245,3 +245,40 @@ def test_invert_rejects_mismatched_inputs(workdir, capsys, field, message):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err and "Traceback" not in err
     assert not rundir.exists()
+
+
+def write_model(workdir, kind):
+    """A --model file: the wrong cell count, or one NaN or infinite entry."""
+    prob = rb.build_problem(rb.parse_problem_file(workdir / "problem.ini"))
+    m = prob.reference_model().m.tolist()
+    if kind == "short":
+        m = m[:-1]
+    else:
+        m[3] = float(kind)
+    path = workdir / f"model_{kind}.json"
+    path.write_text(json.dumps({"m": m}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("forward", "--model", "short"), ("forward", "--model", "nan"),
+    ("verify", "--model", "inf"), ("make-data", "--model", "short"),
+    ("make-data", "--eps-r", "-1"), ("make-data", "--eps-a", "0"),
+    ("verify", "--trials", "0"),
+])
+def test_bad_command_input_is_a_usage_error(workdir, capsys, command, option, value):
+    out = workdir / f"bad_{command}.json"
+    if option == "--model":
+        value = write_model(workdir, value)
+    try:
+        code = main([command, "--problem", str(workdir / "problem.ini"),
+                     "--approx", str(workdir / "approx.json"), option, value,
+                     "--out", str(out)])
+    except SystemExit as exc:   # argparse rejected the option
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {option}:" in errors[0]
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -302,12 +302,11 @@ def test_accepted_path_counter_laws(tiny_setup):
 ])
 def test_returned_prediction_is_final_models(tiny_setup, cfg, diagnostic):
     prob, ap, data = tiny_setup
-    cache = rb.ShiftedFactorCache()
-    state = rb.run_inversion(prob, data, ap, cfg, cache)
+    state = rb.run_inversion(prob, data, ap, cfg)
     assert state.diagnostic == diagnostic
     assert state.history and state.history[-1].accepted
     np.testing.assert_array_equal(
-        state.d_pred, rb.forward_response(prob, state.model, ap, cache).data)
+        state.d_pred, rb.forward_response(prob, state.model, ap, rb.ShiftedFactorCache()).data)
 
 
 def test_back_to_back_inversions_leave_no_threads(tiny_setup):

@@ -111,9 +111,7 @@ def tiny_inversion():
     ap = rb.fit_common_pole(channels, (0.0, 10 * bound), 8,
                             rb.FitConfig(grid_size=200))
     data = rb.make_dataset(prob, prob.true_model(), ap, rb.NoiseSpec(eps_r=0.03, seed=2))
-    cache = rb.ShiftedFactorCache()
-    state = rb.run_inversion(prob, data, ap,
-                             rb.InversionConfig(lambda0=20.0, max_gn=6), cache)
-    g = rb.solve_all_poles(prob, state.model, ap, prob.f, cache)
+    state = rb.run_inversion(prob, data, ap, rb.InversionConfig(lambda0=20.0, max_gn=6))
+    g = rb.solve_all_poles(prob, state.model, ap, prob.f, rb.ShiftedFactorCache())
     d_pred, _ = rb.response_from_pole_solutions(prob, ap, g)
     return prob, ap, data, state, d_pred

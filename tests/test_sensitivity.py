@@ -123,10 +123,9 @@ def test_adjoint_stable_across_workers(small_problem, small_approx):
     model = small_problem.true_model()
     vals = []
     for W in (1, 2, 4):
-        cache = rb.ShiftedFactorCache()
-        opr = rb.JacobianOperator(small_problem, model, small_approx, cache,
-                                  pool=rb.PoleWorkerPool(W))
-        vals.append(rb.adjoint_test(opr, trials=5, seed=3))
+        with rb.ShiftedFactorCache(W) as cache:
+            opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
+            vals.append(rb.adjoint_test(opr, trials=5, seed=3))
     assert vals[0] == vals[1] == vals[2]
 
 
@@ -134,10 +133,9 @@ def test_solve_budget(small_problem, small_approx):
     model = small_problem.true_model()
     m = small_approx.pole_count
     for W in (1, 3):
-        cache = rb.ShiftedFactorCache()
-        before = cache.counters.snapshot()
-        with rb.PoleWorkerPool(W) as pool:
-            opr = rb.JacobianOperator(small_problem, model, small_approx, cache, pool)
+        with rb.ShiftedFactorCache(W) as cache:
+            before = cache.counters.snapshot()
+            opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
             after_build = cache.counters.snapshot()
             assert after_build["solves"] - before["solves"] == m
             opr.jvp(np.ones(opr.shape[1]))
@@ -181,9 +179,8 @@ def test_actions_bit_identical_to_per_pole_oracle(small_problem, small_approx, w
     rng = np.random.default_rng(workers)
     model = small_problem.true_model().perturbed(
         rng.standard_normal(small_problem.grid.cell_count), 0.1)
-    with rb.PoleWorkerPool(workers) as pool:
-        opr = rb.JacobianOperator(small_problem, model, small_approx,
-                                  rb.ShiftedFactorCache(), pool)
+    with rb.ShiftedFactorCache(workers) as cache:
+        opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
         v = rng.standard_normal(opr.shape[1])
         w = rng.standard_normal(opr.shape[0])
         assert np.array_equal(opr.jvp(v), jvp_per_pole(opr, v))

@@ -1,3 +1,4 @@
+import inspect
 import weakref
 
 import numpy as np
@@ -123,9 +124,8 @@ def test_worker_count_invariance(small_problem, small_approx):
     model = small_problem.true_model()
     outs = []
     for W in (1, 2, 4, 8):
-        cache = rb.ShiftedFactorCache()
-        g = rb.solve_all_poles(small_problem, model, small_approx, small_problem.f,
-                               cache, rb.PoleWorkerPool(W))
+        with rb.ShiftedFactorCache(W) as cache:
+            g = rb.solve_all_poles(small_problem, model, small_approx, small_problem.f, cache)
         outs.append(g)
     for g in outs[1:]:
         np.testing.assert_array_equal(outs[0], g)
@@ -198,25 +198,24 @@ def test_scaling_benchmark_frees_every_factor_on_the_thread_that_made_it(
     assert_freed_where_made(factor_threads)
 
 
-@pytest.mark.parametrize("W", [2, 3])
-def test_functions_free_the_cache_they_make_on_the_callers_pool(
+@pytest.mark.parametrize("W", [2, 3, 4])
+def test_closing_a_cache_frees_the_factors_functions_made_with_it(
         small_problem, small_approx, factor_threads, W):
     model = small_problem.true_model()
-    with rb.PoleWorkerPool(W) as pool:
-        rb.make_dataset(small_problem, model, small_approx, rb.NoiseSpec(seed=1), pool=pool)
+    with rb.ShiftedFactorCache(W) as cache:
+        rb.make_dataset(small_problem, model, small_approx, rb.NoiseSpec(seed=1), cache)
         rb.taylor_test(small_problem, model, small_approx, np.ones(small_problem.grid.cell_count),
-                       10.0 ** -np.arange(1, 6), pool=pool)
+                       10.0 ** -np.arange(1, 6), cache)
     assert_freed_where_made(factor_threads)
 
 
 def test_refactorization_replaces_stale_factor_on_its_owner(small_problem, small_approx,
                                                             factor_threads):
-    cache = rb.ShiftedFactorCache()
     ref = small_problem.reference_model()
-    with rb.PoleWorkerPool(3) as pool:
+    with rb.ShiftedFactorCache(3) as cache:
         for k in range(3):
             model = rb.Model(ref.m + 0.1 * k, ref.m_ref)
-            rb.factorize_all_poles(small_problem, model, small_approx, cache, pool)
+            rb.factorize_all_poles(small_problem, model, small_approx, cache)
             # one live factor per pole: each stale one was freed by its maker
             assert sum(freed is None for _, freed in factor_threads) == small_approx.pole_count
     assert len(factor_threads) == 3 * small_approx.pole_count
@@ -224,28 +223,30 @@ def test_refactorization_replaces_stale_factor_on_its_owner(small_problem, small
     assert cache.entries == {}
 
 
-def test_cache_moved_to_another_pool_frees_on_the_first(small_problem, small_approx,
+def test_closed_cache_restarts_with_identical_solutions(small_problem, small_approx,
                                                         factor_threads):
-    cache = rb.ShiftedFactorCache()
     model = small_problem.true_model()
-    with rb.PoleWorkerPool(3) as first:
-        rb.factorize_all_poles(small_problem, model, small_approx, cache, first)
-        with rb.PoleWorkerPool(2) as second:
-            rb.factorize_all_poles(small_problem, model, small_approx, cache, second)
-            assert len(factor_threads) == 2 * small_approx.pole_count
-            assert sum(freed is None for _, freed in factor_threads) == small_approx.pole_count
-        rb.factorize_all_poles(small_problem, model, small_approx, cache)
-    # the first pool's close leaves the serially made factors alone
-    assert all(cache.has(i) for i in range(small_approx.pole_count))
-    assert len(factor_threads) == 3 * small_approx.pole_count
-    assert_freed_where_made(factor_threads[:2 * small_approx.pole_count])
+    with rb.ShiftedFactorCache(3) as cache:
+        first = rb.solve_all_poles(small_problem, model, small_approx, small_problem.f, cache)
+    assert cache.entries == {}
+    with cache:
+        second = rb.solve_all_poles(small_problem, model, small_approx, small_problem.f, cache)
+    assert cache.counters.factorizations == 2 * small_approx.pole_count
+    assert_freed_where_made(factor_threads)
+    np.testing.assert_array_equal(first, second)
 
 
-def test_bound_cache_does_not_keep_an_unclosed_pool_alive(small_problem, small_approx):
-    # an unclosed pool stops its threads when it is garbage collected
-    cache = rb.ShiftedFactorCache()
-    pool = rb.PoleWorkerPool(2)
-    rb.factorize_all_poles(small_problem, small_problem.true_model(), small_approx, cache, pool)
-    ref = weakref.ref(pool)
-    del pool
-    assert ref() is None
+def test_unclosed_cache_workers_are_collected_with_it(small_problem, small_approx):
+    cache = rb.ShiftedFactorCache(2)
+    rb.factorize_all_poles(small_problem, small_problem.true_model(), small_approx, cache)
+    refs = weakref.ref(cache), weakref.ref(cache.pool)
+    del cache
+    assert all(ref() is None for ref in refs)
+
+
+def test_only_the_cache_takes_pole_workers():
+    for fn in (rb.factorize_all_poles, rb.solve_all_poles, rb.forward_response,
+               rb.JacobianOperator, rb.taylor_test, rb.make_dataset):
+        assert "pool" not in inspect.signature(fn).parameters, fn.__name__
+    assert "cache" not in inspect.signature(rb.run_inversion).parameters
+    assert list(inspect.signature(rb.ShiftedFactorCache).parameters) == ["workers"]
