@@ -231,6 +231,12 @@ def _checked(parse, ok, expected: str):
     return convert
 
 
+_count = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_seed = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_finite_positive = _checked(float, lambda x: 0.0 < x < np.inf, "a finite number > 0")
+_finite_nonnegative = _checked(float, lambda x: 0.0 <= x < np.inf, "a finite number >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rbainv",
                                      description=__doc__.splitlines()[0])
@@ -241,12 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_checked(_parse_times, lambda ch: ch.count > 0,
                                  "log10 start:log10 stop:count with start < stop and count >= 1"),
                    help="log10 start:log10 stop:count, e.g. -6:-3:31")
-    p.add_argument("--poles", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
-                   default=21)
-    p.add_argument("--xmin", type=_checked(float, lambda x: 0.0 <= x < np.inf,
-                                           "a finite number >= 0"), default=0.0)
+    p.add_argument("--poles", type=_count, default=21)
+    p.add_argument("--xmin", type=_finite_nonnegative, default=0.0)
     p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--max-iters", type=int, default=50)
+    p.add_argument("--max-iters", type=_count, default=50)
     p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_rba)
@@ -263,9 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--approx", required=True)
-    p.add_argument("--trials", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
-                   default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_count, default=20)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_verify)
@@ -274,11 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--model", default="true")
     p.add_argument("--approx", required=True)
-    p.add_argument("--eps-r", type=_checked(float, lambda x: 0.0 <= x < np.inf,
-                                            "a finite number >= 0"), default=0.03)
-    p.add_argument("--eps-a", type=_checked(float, lambda x: 0.0 < x < np.inf,
-                                            "a finite number > 0"), default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eps-r", type=_finite_nonnegative, default=0.03)
+    p.add_argument("--eps-a", type=_finite_positive, default=None)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_make_data)
 
@@ -286,11 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--approx", required=True)
-    p.add_argument("--lambda0", type=float, default=None)
+    p.add_argument("--lambda0", type=_finite_positive, default=None)
     p.add_argument("--chi2-target", type=float, default=1.0)
-    p.add_argument("--max-gn", type=int, default=30)
+    p.add_argument("--max-gn", type=_count, default=30)
     p.add_argument("--lsqr-tol", type=float, default=1e-3)
-    p.add_argument("--lsqr-max-iters", type=int, default=50)
+    p.add_argument("--lsqr-max-iters", type=_count, default=50)
     p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
     p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_invert)

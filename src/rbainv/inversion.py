@@ -223,7 +223,6 @@ def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
     increase_streak = 0
 
     for nu in range(1, cfg.max_gn + 1):
-        state.nu = nu
         if chi2 <= cfg.chi2_target:
             state.diagnostic = "chi2 target reached"
             break
@@ -271,7 +270,7 @@ def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
             factorizations=counters1["factorizations"] - counters0["factorizations"],
             solves=counters1["solves"] - counters0["solves"],
             phi_evals=ls.n_evals, phi_before=phi_before, directional_slope=slope))
-        state.phi, state.chi2, state.lam = phi, chi2, lam
+        state.nu, state.phi, state.chi2, state.lam = nu, phi, chi2, lam
 
         if increase_streak >= 3:
             state.diagnostic = "divergence guard: objective rose on 3 consecutive accepted steps"

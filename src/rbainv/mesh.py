@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,7 +51,6 @@ class Grid:
     face_measure: np.ndarray    # (F,)
     dof_of_node: np.ndarray     # (n_nodes,) interior dof index or -1
     dof_count: int
-    cell_tags: np.ndarray = None   # (P,) conductivity-region name, "" background
 
     @property
     def cell_count(self) -> int:
@@ -164,81 +164,69 @@ class Problem:
 
 
 def _in_box(points: np.ndarray, box) -> np.ndarray:
-    box = np.asarray(box, dtype=float)
-    ok = (points[:, 0] >= box[0]) & (points[:, 0] <= box[1])
-    if points.shape[1] == 2:
-        ok &= (points[:, 1] >= box[2]) & (points[:, 1] <= box[3])
-    return ok
+    """Points inside a closed box (x0, x1) in 1-D or (x0, x1, y0, y1) in 2-D."""
+    box = np.asarray(box, dtype=float).reshape(-1, 2)[: points.shape[1]]
+    return np.all((points >= box[:, 0]) & (points <= box[:, 1]), axis=1)
 
 
 def _grid_1d(extent, n, bc) -> Grid:
-    x0, x1 = extent
-    xs = np.linspace(x0, x1, n + 1)
-    nodes = xs[:, None]
+    xs = np.linspace(extent[0], extent[1], n + 1)
     cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    widths = np.diff(xs)
-    if np.any(widths <= 0):
-        raise ValueError("degenerate cells")
-    face_cells = np.column_stack([np.arange(n - 1), np.arange(1, n)])
-    face_measure = np.ones(n - 1)
-    dof = -np.ones(n + 1, dtype=int)
-    if bc == "dirichlet":
-        dof[1:-1] = np.arange(n - 1)
-        count = n - 1
-    else:
-        dof[:] = np.arange(n + 1)
-        count = n + 1
-    return Grid(1, nodes, cells, widths, face_cells, face_measure, dof, count)
+    return _grid(xs[:, None], cells, np.diff(xs), extent, bc)
 
 
 def _grid_2d(extent, shape, bc) -> Grid:
     x0, x1, y0, y1 = extent
     nx, ny = shape
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
+    X, Y = np.meshgrid(np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1))
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    cells = []
-    for iy in range(ny):
-        for ix in range(nx):
-            v00, v10 = nid(ix, iy), nid(ix + 1, iy)
-            v01, v11 = nid(ix, iy + 1), nid(ix + 1, iy + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    cells = np.asarray(cells, dtype=int)
+    ids = np.arange(nodes.shape[0]).reshape(ny + 1, nx + 1)
+    v00, v10 = ids[:-1, :-1].ravel(), ids[:-1, 1:].ravel()
+    v01, v11 = ids[1:, :-1].ravel(), ids[1:, 1:].ravel()
+    # two triangles per rectangle, rectangles row by row
+    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
     p = nodes[cells]
     area = 0.5 * np.abs(
         (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
         - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-    if np.any(area <= 0):
+    return _grid(nodes, cells, area, extent, bc)
+
+
+def _grid(nodes, cells, cell_measure, extent, bc) -> Grid:
+    """Faces and DOFs of a simplex grid whose nodes lie in the box `extent`.
+
+    A face is a facet (a vertex in 1-D, an edge in 2-D) that two cells
+    share.  Faces come in ascending order of their sorted vertex tuple, each
+    with its lower cell first.  A Dirichlet bc drops every node on the
+    extent's boundary.
+    """
+    if np.any(cell_measure <= 0):
         raise ValueError("degenerate cells")
+    P, k = cells.shape
+    dim = k - 1
+    drop_one = list(itertools.combinations(range(k), dim))
+    facets = np.sort(cells[:, drop_one], axis=2).reshape(-1, dim)
+    owner = np.repeat(np.arange(P), len(drop_one))
+    order = np.lexsort((owner, *facets.T[::-1]))
+    facets, owner = facets[order], owner[order]
+    shared = np.flatnonzero(np.all(facets[1:] == facets[:-1], axis=1))
+    face_cells = np.column_stack([owner[shared], owner[shared + 1]])
+    # a 2-D face has one edge, whose length is sqrt(d.d) with the dot in
+    # BLAS as np.linalg.norm takes it; a 1-D face is a point, so it has no
+    # edge and the empty product makes its measure 1
+    d = np.diff(nodes[facets[shared]], axis=1)
+    face_measure = np.sqrt(np.vecdot(d, d)).prod(axis=1)
 
-    edge_map: dict[tuple, list[int]] = {}
-    for c, tri in enumerate(cells):
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            key = tuple(sorted((tri[a], tri[b])))
-            edge_map.setdefault(key, []).append(c)
-    face_cells, face_measure = [], []
-    for (a, b), owners in sorted(edge_map.items()):
-        if len(owners) == 2:
-            face_cells.append(owners)
-            face_measure.append(np.linalg.norm(nodes[a] - nodes[b]))
-    face_cells = np.asarray(face_cells, dtype=int)
-    face_measure = np.asarray(face_measure)
-
-    dof = -np.ones(nodes.shape[0], dtype=int)
     if bc == "dirichlet":
-        interior = ((nodes[:, 0] > x0) & (nodes[:, 0] < x1)
-                    & (nodes[:, 1] > y0) & (nodes[:, 1] < y1))
+        box = np.asarray(extent, dtype=float).reshape(-1, 2)
+        free = np.all((nodes > box[:, 0]) & (nodes < box[:, 1]), axis=1)
     else:
-        interior = np.ones(nodes.shape[0], dtype=bool)
-    dof[interior] = np.arange(interior.sum())
-    return Grid(2, nodes, cells, area, face_cells, face_measure, dof, int(interior.sum()))
+        free = np.ones(nodes.shape[0], dtype=bool)
+    dof = -np.ones(nodes.shape[0], dtype=int)
+    dof[free] = np.arange(free.sum())
+    return Grid(dim, nodes, cells, cell_measure, face_cells, face_measure, dof,
+                int(free.sum()))
 
 
 def _local_matrices(grid: Grid, kappa: float):
@@ -263,33 +251,36 @@ def _local_matrices(grid: Grid, kappa: float):
     return mass, stiff
 
 
-def _interp_row(grid: Grid, point: np.ndarray):
-    """Containing cell and P1 interpolation weights for one point."""
+def _interp_rows(grid: Grid, points: np.ndarray):
+    """Containing cell (R,) and P1 interpolation weights (R, k) per point."""
     if grid.dimension == 1:
-        x = point[0]
+        x = points[:, 0]
         xs = grid.nodes[:, 0]
-        if x < xs[0] - 1e-12 or x > xs[-1] + 1e-12:
-            raise ValueError(f"receiver {point} outside domain")
-        c = int(np.clip(np.searchsorted(xs, x) - 1, 0, grid.cell_count - 1))
-        xa, xb = xs[grid.cells[c]]
+        outside = (x < xs[0] - 1e-12) | (x > xs[-1] + 1e-12)
+        c = np.clip(np.searchsorted(xs, x) - 1, 0, grid.cell_count - 1)
+        xa, xb = xs[grid.cells[c]].T
         t = (x - xa) / (xb - xa)
-        return c, np.array([1.0 - t, t])
-    pts = grid.nodes[grid.cells]        # (P, 3, 2)
-    v0 = pts[:, 0]
-    d1 = pts[:, 1] - v0
-    d2 = pts[:, 2] - v0
-    rel = point[None, :] - v0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    l1 = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det
-    l2 = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
-    l0 = 1.0 - l1 - l2
-    eps = 1e-10
-    ok = (l0 >= -eps) & (l1 >= -eps) & (l2 >= -eps)
-    if not np.any(ok):
-        raise ValueError(f"receiver {point} outside domain")
-    c = int(np.argmax(ok))
-    lam = np.clip([l0[c], l1[c], l2[c]], 0.0, 1.0)
-    return c, lam / lam.sum()
+        lam = np.column_stack([1.0 - t, t])
+    else:
+        pts = grid.nodes[grid.cells]        # (P, 3, 2)
+        v0 = pts[:, 0]
+        d1 = pts[:, 1] - v0
+        d2 = pts[:, 2] - v0
+        rel = points[:, None, :] - v0       # (R, P, 2)
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        l1 = (rel[..., 0] * d2[:, 1] - rel[..., 1] * d2[:, 0]) / det
+        l2 = (d1[:, 0] * rel[..., 1] - d1[:, 1] * rel[..., 0]) / det
+        l0 = 1.0 - l1 - l2
+        eps = 1e-10
+        ok = (l0 >= -eps) & (l1 >= -eps) & (l2 >= -eps)
+        outside = ~np.any(ok, axis=1)
+        c = np.argmax(ok, axis=1)
+        r = np.arange(len(c))
+        lam = np.clip(np.column_stack([l0[r, c], l1[r, c], l2[r, c]]), 0.0, 1.0)
+        lam /= lam.sum(axis=1, keepdims=True)
+    if np.any(outside):
+        raise ValueError(f"point {points[np.argmax(outside)]} outside domain")
+    return c, lam
 
 
 def build_problem(spec: ProblemSpec) -> Problem:
@@ -306,12 +297,6 @@ def build_problem(spec: ProblemSpec) -> Problem:
     else:
         raise ValueError("dimension must be 1 or 2")
 
-    tags = np.full(grid.cell_count, "", dtype=object)
-    centroids = grid.cell_centroids()
-    for idx, anom in enumerate(spec.anomalies):
-        tags[_in_box(centroids, anom.box)] = anom.name or f"anomaly{idx}"
-    grid = replace(grid, cell_tags=tags)
-
     mass_local, stiff_local = _local_matrices(grid, spec.kappa)
     cell_dofs = grid.dof_of_node[grid.cells]
     N = grid.dof_count
@@ -324,18 +309,14 @@ def build_problem(spec: ProblemSpec) -> Problem:
                       shape=(N, N)).tocsr()
 
     receivers = np.atleast_2d(np.asarray(spec.receivers, dtype=float))
-    q_rows, q_cols, q_vals = [], [], []
-    for r, pos in enumerate(receivers):
-        c, wts = _interp_row(grid, pos)
-        dofs = cell_dofs[c]
-        if np.any((dofs < 0) & (wts > 1e-12)):
-            raise ValueError(f"receiver {pos} interpolates onto an eliminated boundary node")
-        for d, wt in zip(dofs, wts):
-            if d >= 0 and wt != 0.0:
-                q_rows.append(r)
-                q_cols.append(d)
-                q_vals.append(wt)
-    Q = sp.coo_matrix((q_vals, (q_rows, q_cols)), shape=(receivers.shape[0], N)).tocsr()
+    c, wts = _interp_rows(grid, receivers)
+    dofs = cell_dofs[c]
+    on_boundary = np.any((dofs < 0) & (wts > 1e-12), axis=1)
+    if np.any(on_boundary):
+        raise ValueError(f"receiver {receivers[np.argmax(on_boundary)]} interpolates "
+                         f"onto an eliminated boundary node")
+    nz = (dofs >= 0) & (wts != 0.0)
+    Q = sp.coo_matrix((wts[nz], (np.nonzero(nz)[0], dofs[nz])), shape=(len(c), N)).tocsr()
 
     problem = Problem(grid=grid, K=K, cell_dofs=cell_dofs, mass_local=mass_local,
                       stiff_local=stiff_local, f=np.zeros(N), Q=Q,
@@ -401,32 +382,27 @@ def dM_transpose_blocks(problem: Problem, model: Model, G: np.ndarray) -> sp.csr
 def build_source(problem: Problem, source: SourceSpec) -> np.ndarray:
     """Assemble the source vector for a box or delta footprint."""
     grid = problem.grid
-    f = np.zeros(problem.dof_count)
+    dim = grid.dimension
     if source.kind == "delta":
-        pos = np.asarray(source.position, dtype=float)[: grid.dimension]
-        c, wts = _interp_row(grid, pos)
-        for d, wt in zip(problem.cell_dofs[c], wts):
-            if d >= 0:
-                f[d] += source.amplitude * wt
-        return f
-    if source.kind != "box":
-        raise ValueError(f"unknown source kind {source.kind!r}")
-    center = np.asarray(source.center, dtype=float)[: grid.dimension]
-    half = 0.5 * np.asarray(source.size, dtype=float)[: grid.dimension]
-    if grid.dimension == 1:
-        box = (center[0] - half[0], center[0] + half[0])
+        c, wts = _interp_rows(grid, np.asarray(source.position, dtype=float)[None, :dim])
+        dofs = problem.cell_dofs[c]
+        vals = source.amplitude * wts
+    elif source.kind == "box":
+        center = np.asarray(source.center, dtype=float)[:dim]
+        half = 0.5 * np.asarray(source.size, dtype=float)[:dim]
+        inside = _in_box(grid.cell_centroids(), np.column_stack([center - half, center + half]))
+        if source.amplitude != 0.0 and not np.any(inside):
+            raise ValueError("source footprint does not intersect the domain")
+        dofs = problem.cell_dofs[inside]
+        # integral of each hat over its cell is measure / k
+        contrib = source.amplitude * grid.cell_measure[inside] / dofs.shape[1]
+        vals = np.broadcast_to(contrib[:, None], dofs.shape)
     else:
-        box = (center[0] - half[0], center[0] + half[0],
-               center[1] - half[1], center[1] + half[1])
-    inside = _in_box(grid.cell_centroids(), box)
-    if source.amplitude != 0.0 and not np.any(inside):
-        raise ValueError("source footprint does not intersect the domain")
-    dofs = problem.cell_dofs[inside]
-    # integral of each hat over its cell is measure / k
-    contrib = source.amplitude * grid.cell_measure[inside] / dofs.shape[1]
+        raise ValueError(f"unknown source kind {source.kind!r}")
+    f = np.zeros(problem.dof_count)
     free = dofs >= 0
     # np.add.at sums in index order, cell by cell, as a loop over the cells would
-    np.add.at(f, dofs[free], np.broadcast_to(contrib[:, None], dofs.shape)[free])
+    np.add.at(f, dofs[free], vals[free])
     return f
 
 
@@ -486,9 +462,8 @@ def parse_problem_file(path) -> ProblemSpec:
             vals = _parse_floats(rc["grid"])
             if dimension == 2:
                 xa, xb, nxr, ya, yb, nyr = vals
-                xs = np.linspace(xa, xb, int(nxr))
-                ys = np.linspace(ya, yb, int(nyr))
-                receivers = np.array([(x, y) for y in ys for x in xs])
+                X, Y = np.meshgrid(np.linspace(xa, xb, int(nxr)), np.linspace(ya, yb, int(nyr)))
+                receivers = np.column_stack([X.ravel(), Y.ravel()])
             else:
                 xa, xb, nxr = vals
                 receivers = np.linspace(xa, xb, int(nxr))[:, None]

@@ -6,7 +6,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +45,11 @@ class RunReport:
     iterations: list
     timing: TimingModel | None
     counters: dict
-    scaling: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         doc = {
             "iterations": self.iterations,
             "counters": self.counters,
-            "scaling": self.scaling,
         }
         if self.timing is not None:
             doc["timing_model"] = {
@@ -192,10 +190,5 @@ def consolidate_report(rundir) -> RunReport:
     timing = None
     if len(history) >= 3:
         timing = fit_timing_model(history)
-    scaling = []
-    scaling_path = out / "scaling.json"
-    if scaling_path.exists():
-        with open(scaling_path) as fh:
-            scaling = json.load(fh)
     return RunReport(iterations=history, timing=timing,
-                     counters=state_doc.get("counters", {}), scaling=scaling)
+                     counters=state_doc.get("counters", {}))

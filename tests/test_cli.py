@@ -196,7 +196,7 @@ def test_bad_workers_option_is_a_usage_error(workdir, capsys, value):
 @pytest.mark.parametrize("option,value", [
     ("--times-log10", "abc"), ("--times-log10", "-6:-3"), ("--times-log10", "-6:-3:0"),
     ("--times-log10", "-3:-6:31"), ("--times-log10", "nan:-3:4"), ("--times-log10", "-6:inf:4"),
-    ("--poles", "0"), ("--xmin", "-1"), ("--xmax", "0"),
+    ("--poles", "0"), ("--xmin", "-1"), ("--xmax", "0"), ("--max-iters", "0"),
 ])
 def test_bad_fit_rba_input_is_a_usage_error(workdir, capsys, option, value):
     out = workdir / "fit_bad.json"
@@ -264,16 +264,24 @@ def write_model(workdir, kind):
     ("forward", "--model", "short"), ("forward", "--model", "nan"),
     ("verify", "--model", "inf"), ("make-data", "--model", "short"),
     ("make-data", "--eps-r", "-1"), ("make-data", "--eps-a", "0"),
-    ("verify", "--trials", "0"),
+    ("verify", "--trials", "0"), ("verify", "--seed", "-1"), ("make-data", "--seed", "-1"),
+    ("invert", "--lambda0", "0"), ("invert", "--lambda0", "-1"),
+    ("invert", "--lambda0", "nan"), ("invert", "--lambda0", "inf"),
+    ("invert", "--max-gn", "0"), ("invert", "--lsqr-max-iters", "0"),
 ])
 def test_bad_command_input_is_a_usage_error(workdir, capsys, command, option, value):
     out = workdir / f"bad_{command}.json"
+    argv = [command, "--problem", str(workdir / "problem.ini"),
+            "--approx", str(workdir / "approx.json")]
     if option == "--model":
         value = write_model(workdir, value)
+    if command == "invert":
+        data = workdir / "data_good.json"
+        assert main(["make-data"] + argv[1:] + ["--seed", "4", "--out", str(data)]) == 0
+        argv += ["--data", str(data)]
+    capsys.readouterr()
     try:
-        code = main([command, "--problem", str(workdir / "problem.ini"),
-                     "--approx", str(workdir / "approx.json"), option, value,
-                     "--out", str(out)])
+        code = main(argv + [option, value, "--out", str(out)])
     except SystemExit as exc:   # argparse rejected the option
         code = exc.code
     assert code == 2

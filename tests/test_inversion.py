@@ -157,6 +157,20 @@ def test_run_inversion_noise_free_start_at_truth(tiny_setup):
     assert state.diagnostic == "chi2 target reached"
 
 
+def test_iterations_run_counts_the_history_rows(tiny_setup):
+    prob, ap, data = tiny_setup
+    capped = rb.run_inversion(prob, data, ap, rb.InversionConfig(lambda0=50.0, max_gn=3))
+    assert capped.diagnostic == "max Gauss-Newton iterations"
+    assert capped.nu == len(capped.history) == 3
+    # a target met after the second iteration stops the loop before a third
+    target = capped.history[1].chi2
+    assert capped.history[0].chi2 > target
+    reached = rb.run_inversion(prob, data, ap,
+                               rb.InversionConfig(lambda0=50.0, chi2_target=target, max_gn=3))
+    assert reached.diagnostic == "chi2 target reached"
+    assert reached.nu == len(reached.history) == 2
+
+
 def test_run_inversion_reduces_misfit_and_history_consistency(tiny_setup):
     prob, ap, data = tiny_setup
     cfg = rb.InversionConfig(lambda0=50.0, chi2_target=1.0, max_gn=12, workers=1)

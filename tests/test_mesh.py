@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.io as sio
 import scipy.linalg as la
+import scipy.sparse as sp
 
 import rbainv as rb
-from conftest import in_box
+from conftest import in_box, receiver_grid
+from rbainv import mesh
 
 
 def uniform_1d(n=10, sigma=0.1, kappa=1.0, bc="dirichlet"):
@@ -273,17 +275,190 @@ def test_export_matrices(tmp_path, small_problem):
     assert (tmp_path / "Q.mtx").exists() and (tmp_path / "f.mtx").exists()
 
 
-def test_cell_tags_mark_anomaly_regions(acc_problem):
-    tags = acc_problem.grid.cell_tags
-    cen = acc_problem.grid.cell_centroids()
-    assert set(tags[in_box(cen, (-40, -10, -40, -10))]) == {"cond"}
-    assert set(tags[in_box(cen, (10, 40, 10, 40))]) == {"res"}
-    assert np.sum(tags == "") > 0
-
-
 def test_model_version_tag_tracks_content():
     m = rb.Model(np.array([1.0, 2.0]), np.zeros(2))
     same = rb.Model(np.array([1.0, 2.0]), np.zeros(2))
     other = rb.Model(np.array([1.0, 2.0 + 1e-12]), np.zeros(2))
     assert m.version_tag() == same.version_tag()
     assert m.version_tag() != other.version_tag()
+
+
+# Reference grids, observation rows and sources built cell by cell, face by
+# face and receiver by receiver: `build_problem` must reproduce them bit for bit.
+
+def reference_grid(spec):
+    """Nodes, cells, cell measures, face cells, face measures, dof of node."""
+    if spec.dimension == 1:
+        x0, x1 = spec.extent[:2]
+        n = spec.n_cells[0]
+        xs = np.linspace(x0, x1, n + 1)
+        cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+        face_cells = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+        dof = -np.ones(n + 1, dtype=int)
+        if spec.bc == "dirichlet":
+            dof[1:-1] = np.arange(n - 1)
+        else:
+            dof[:] = np.arange(n + 1)
+        return xs[:, None], cells, np.diff(xs), face_cells, np.ones(n - 1), dof
+
+    x0, x1, y0, y1 = spec.extent
+    nx, ny = spec.n_cells
+    X, Y = np.meshgrid(np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1))
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    cells = []
+    for iy in range(ny):
+        for ix in range(nx):
+            v00, v10 = iy * (nx + 1) + ix, iy * (nx + 1) + ix + 1
+            v01, v11 = v00 + nx + 1, v10 + nx + 1
+            cells.append((v00, v10, v11))
+            cells.append((v00, v11, v01))
+    cells = np.asarray(cells, dtype=int)
+    p = nodes[cells]
+    area = 0.5 * np.abs(
+        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+
+    edge_map = {}
+    for c, tri in enumerate(cells):
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            edge_map.setdefault(tuple(sorted((tri[a], tri[b]))), []).append(c)
+    face_cells, face_measure = [], []
+    for (a, b), owners in sorted(edge_map.items()):
+        if len(owners) == 2:
+            face_cells.append(owners)
+            face_measure.append(np.linalg.norm(nodes[a] - nodes[b]))
+
+    if spec.bc == "dirichlet":
+        interior = ((nodes[:, 0] > x0) & (nodes[:, 0] < x1)
+                    & (nodes[:, 1] > y0) & (nodes[:, 1] < y1))
+    else:
+        interior = np.ones(nodes.shape[0], dtype=bool)
+    dof = -np.ones(nodes.shape[0], dtype=int)
+    dof[interior] = np.arange(interior.sum())
+    return (nodes, cells, area, np.asarray(face_cells, dtype=int),
+            np.asarray(face_measure), dof)
+
+
+def reference_interp(nodes, cells, point):
+    """Containing cell and P1 weights of one point."""
+    if nodes.shape[1] == 1:
+        xs = nodes[:, 0]
+        c = int(np.clip(np.searchsorted(xs, point[0]) - 1, 0, len(cells) - 1))
+        xa, xb = xs[cells[c]]
+        t = (point[0] - xa) / (xb - xa)
+        return c, np.array([1.0 - t, t])
+    pts = nodes[cells]
+    v0 = pts[:, 0]
+    d1 = pts[:, 1] - v0
+    d2 = pts[:, 2] - v0
+    rel = point[None, :] - v0
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    l1 = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det
+    l2 = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
+    l0 = 1.0 - l1 - l2
+    c = int(np.argmax((l0 >= -1e-10) & (l1 >= -1e-10) & (l2 >= -1e-10)))
+    lam = np.clip([l0[c], l1[c], l2[c]], 0.0, 1.0)
+    return c, lam / lam.sum()
+
+
+def reference_problem(spec):
+    """Grid arrays, K, Q and f assembled with per-cell and per-receiver loops."""
+    nodes, cells, measure, face_cells, face_measure, dof = reference_grid(spec)
+    grid = rb.Grid(spec.dimension, nodes, cells, measure, face_cells, face_measure,
+                   dof, int(np.sum(dof >= 0)))
+    _, stiff = mesh._local_matrices(grid, spec.kappa)
+    cell_dofs = dof[cells]
+    N, k = grid.dof_count, cells.shape[1]
+
+    rows, cols, vals = [], [], []
+    for c in range(len(cells)):
+        for a in range(k):
+            for b in range(k):
+                if cell_dofs[c, a] >= 0 and cell_dofs[c, b] >= 0:
+                    rows.append(cell_dofs[c, a])
+                    cols.append(cell_dofs[c, b])
+                    vals.append(stiff[c, a, b])
+    K = sp.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
+
+    receivers = np.atleast_2d(np.asarray(spec.receivers, dtype=float))
+    rows, cols, vals = [], [], []
+    for r, pos in enumerate(receivers):
+        c, wts = reference_interp(nodes, cells, pos)
+        for d, wt in zip(cell_dofs[c], wts):
+            if d >= 0 and wt != 0.0:
+                rows.append(r)
+                cols.append(d)
+                vals.append(wt)
+    Q = sp.coo_matrix((vals, (rows, cols)), shape=(len(receivers), N)).tocsr()
+
+    src = spec.source
+    f = np.zeros(N)
+    if src.kind == "delta":
+        pos = np.asarray(src.position, dtype=float)
+        c, wts = reference_interp(nodes, cells, pos)
+        for d, wt in zip(cell_dofs[c], wts):
+            if d >= 0:
+                f[d] += src.amplitude * wt
+    else:
+        center, size = np.asarray(src.center, dtype=float), np.asarray(src.size, dtype=float)
+        box = [v for lo, hi in zip(center - 0.5 * size, center + 0.5 * size) for v in (lo, hi)]
+        for c in np.flatnonzero(in_box(grid.cell_centroids(), box)):
+            for d in cell_dofs[c]:
+                if d >= 0:
+                    f[d] += src.amplitude * measure[c] / k
+    return grid, K, Q, f
+
+
+def _spec_2d(shape, extent=(-60.0, 60.0, -60.0, 60.0), **kw):
+    kw.setdefault("receivers", receiver_grid(-45.0, 45.0, 7))
+    kw.setdefault("anomalies", (rb.AnomalySpec(box=(-40, -10, -40, -10), sigma=1.0),
+                                rb.AnomalySpec(box=(10, 40, 10, 40), sigma=0.01)))
+    return rb.ProblemSpec(dimension=2, extent=extent, n_cells=shape, kappa=1e5, **kw)
+
+
+ORACLE_SPECS = {
+    "1d-n1-neumann": rb.ProblemSpec(
+        dimension=1, extent=(0.0, 1.0), n_cells=(1,), bc="neumann",
+        receivers=np.array([[0.0], [0.3], [1.0]]),
+        source=rb.SourceSpec(kind="box", center=(0.5,), size=(0.4,))),
+    "1d-n10-delta": rb.ProblemSpec(
+        dimension=1, extent=(0.0, 1.0), n_cells=(10,),
+        receivers=np.array([[0.35], [0.55], [0.65]]),
+        source=rb.SourceSpec(kind="delta", position=(0.53,), amplitude=2.5)),
+    # 3x3's boundary cells touch eliminated nodes; its receivers sit on the inner square
+    "2d-3x3": _spec_2d((3, 3), receivers=receiver_grid(-20.0, 20.0, 3)),
+    **{f"2d-{n}x{n}": _spec_2d((n, n)) for n in (8, 13, 16, 48)},
+    "2d-7x11-delta": _spec_2d(
+        (7, 11), (0.0, 1.3, -0.7, 2.9),
+        receivers=np.array([(0.3, -0.2), (0.65, 1.1), (1.0, 2.4), (2.6 / 7, 0.0)]),
+        source=rb.SourceSpec(kind="delta", position=(0.61, 1.13)), anomalies=()),
+    "2d-31x5-neumann-corners": _spec_2d(
+        (31, 5), (-1.0, 3.1, 0.0, 1.7), bc="neumann",
+        receivers=np.array([(-1.0, 0.0), (3.1, 0.0), (-1.0, 1.7), (3.1, 1.7),
+                            (1.0, 0.0), (3.1, 0.9), (0.4, 0.8)]),
+        source=rb.SourceSpec(kind="box", center=(1.0, 0.8), size=(1.0, 0.5)),
+        anomalies=(rb.AnomalySpec(box=(0.0, 1.0, 0.2, 1.0), sigma=1.0),)),
+}
+
+
+def _assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.filterwarnings("ignore:grid has no interior faces")
+@pytest.mark.parametrize("name", ORACLE_SPECS)
+def test_build_problem_matches_reference_loops_bit_for_bit(name):
+    spec = ORACLE_SPECS[name]
+    prob = rb.build_problem(spec)
+    ref_grid, K, Q, f = reference_problem(spec)
+    for field in ("nodes", "cells", "cell_measure", "face_cells", "face_measure",
+                  "dof_of_node"):
+        got, want = getattr(prob.grid, field), getattr(ref_grid, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+    assert prob.dof_count == ref_grid.dof_count
+    _assert_same_csr(prob.K, K)
+    _assert_same_csr(prob.Q, Q)
+    assert np.array_equal(prob.f, f)
+    _assert_same_csr(rb.build_reg(prob.grid).R_factor, rb.build_reg(ref_grid).R_factor)
