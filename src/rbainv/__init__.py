@@ -6,15 +6,13 @@ channels, which makes the Gauss-Newton inversion embarrassingly parallel
 over poles.
 """
 
-from .forward import (EulerResult, ForwardResult, dense_expm_oracle,
-                      forward_response, implicit_euler_reference,
-                      response_from_pole_solutions)
+from .forward import forward_response, response_from_pole_solutions
 from .inversion import (InversionConfig, InversionState, IterationRecord,
                         LineSearchResult, LsqrConfig, chi_squared,
                         default_lambda0, gn_step, line_search, run_inversion)
 from .mesh import (AnomalySpec, Grid, Model, Problem, ProblemSpec, SourceSpec,
                    assemble_M, build_problem, build_source, dM_contract,
-                   export_matrices, parse_problem_file, spectral_bound)
+                   parse_problem_file, spectral_bound)
 from .rba import (FitConfig, FitReport, PoleCollisionError, RationalApproximant,
                   TimeChannels, fit_common_pole, load_approximant, refit_residues,
                   save_approximant, validate_fit)

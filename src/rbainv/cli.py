@@ -8,6 +8,7 @@ tooling.
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import sys
 from pathlib import Path
@@ -35,8 +36,20 @@ def _parse_times(text: str) -> TimeChannels:
     return TimeChannels.logspaced(10.0 ** float(lo), 10.0 ** float(hi), int(count))
 
 
+def _load(option: str, load, path):
+    """``load(path)``, with a missing or malformed file reported as a usage
+    error that names ``option``."""
+    try:
+        return load(path)
+    except KeyError as exc:
+        raise UsageError(f"argument {option}: {path}: missing entry {exc}") from None
+    except (OSError, ValueError, configparser.Error) as exc:
+        reason = " ".join(str(exc).splitlines())
+        raise UsageError(f"argument {option}: {path}: {reason}") from None
+
+
 def _load_problem(path):
-    return build_problem(parse_problem_file(path))
+    return _load("--problem", lambda p: build_problem(parse_problem_file(p)), path)
 
 
 def _load_model(problem, path: str | None) -> Model:
@@ -44,8 +57,7 @@ def _load_model(problem, path: str | None) -> Model:
         return problem.reference_model()
     if path == "true":
         return problem.true_model()
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load("--model", lambda p: json.loads(Path(p).read_text()), path)
     ref = problem.reference_model()
     try:
         m = np.asarray(doc["m"], dtype=float)
@@ -77,18 +89,18 @@ def cmd_fit_rba(args) -> int:
 def cmd_forward(args) -> int:
     problem = _load_problem(args.problem)
     model = _load_model(problem, args.model)
-    approx = load_approximant(args.approx)
+    approx = _load("--approx", load_approximant, args.approx)
     with ShiftedFactorCache(args.workers) as cache:
-        result = forward_response(problem, model, approx, cache)
+        data = forward_response(problem, model, approx, cache)
     doc = {
-        "data": result.data.tolist(),
+        "data": data.tolist(),
         "times": approx.channels.times.tolist(),
         "receivers": problem.receivers.tolist(),
         "counters": cache.counters.snapshot(),
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh)
-    print(f"forward response: {result.data.size} data "
+    print(f"forward response: {data.size} data "
           f"({cache.counters.factorizations} factorizations)")
     return 0
 
@@ -96,7 +108,7 @@ def cmd_forward(args) -> int:
 def cmd_verify(args) -> int:
     problem = _load_problem(args.problem)
     model = _load_model(problem, args.model)
-    approx = load_approximant(args.approx)
+    approx = _load("--approx", load_approximant, args.approx)
 
     rng = np.random.default_rng(args.seed)
     direction = rng.standard_normal(problem.grid.cell_count)
@@ -134,7 +146,7 @@ def cmd_verify(args) -> int:
 def cmd_make_data(args) -> int:
     problem = _load_problem(args.problem)
     model = _load_model(problem, args.model or "true")
-    approx = load_approximant(args.approx)
+    approx = _load("--approx", load_approximant, args.approx)
     noise = NoiseSpec(eps_r=args.eps_r, eps_a=args.eps_a, seed=args.seed)
     data = make_dataset(problem, model, approx, noise)
     save_dataset(data, args.out)
@@ -154,8 +166,8 @@ def _input_mismatch(problem, data, approx) -> str | None:
 
 def cmd_invert(args) -> int:
     problem = _load_problem(args.problem)
-    data = load_dataset(args.data)
-    approx = load_approximant(args.approx)
+    data = _load("--data", load_dataset, args.data)
+    approx = _load("--approx", load_approximant, args.approx)
     mismatch = _input_mismatch(problem, data, approx)
     if mismatch is not None:
         raise UsageError(mismatch)
@@ -190,7 +202,7 @@ def cmd_report(args) -> int:
 def cmd_bench_scaling(args) -> int:
     problem = _load_problem(args.problem)
     model = _load_model(problem, args.model)
-    approx = load_approximant(args.approx)
+    approx = _load("--approx", load_approximant, args.approx)
     rows = scaling_benchmark(problem, model, approx, args.workers)
     with open(args.out, "w") as fh:
         json.dump(rows, fh, indent=1)
@@ -288,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--approx", required=True)
     p.add_argument("--lambda0", type=_finite_positive, default=None)
-    p.add_argument("--chi2-target", type=float, default=1.0)
+    p.add_argument("--chi2-target", type=_finite_positive, default=1.0)
     p.add_argument("--max-gn", type=_count, default=30)
-    p.add_argument("--lsqr-tol", type=float, default=1e-3)
+    p.add_argument("--lsqr-tol", type=_finite_positive, default=1e-3)
     p.add_argument("--lsqr-max-iters", type=_count, default=50)
     p.add_argument("--workers", type=_worker_count, default=None, help=WORKERS_HELP)
     p.add_argument("--out", required=True, help="run directory")

@@ -207,7 +207,7 @@ def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
 
     def forward_at(mdl: Model):
         g = solve_all_poles(problem, mdl, approx, problem.f, cache)
-        d, _ = response_from_pole_solutions(problem, approx, g)
+        d = response_from_pole_solutions(problem, approx, g)
         mis = 0.5 * float(np.sum((W * (d - data.d_obs)) ** 2))
         rv, _ = reg_value_grad(reg, mdl)
         return g, d, mis, rv

@@ -34,7 +34,6 @@ __all__ = [
     "dM_transpose_blocks",
     "build_source",
     "parse_problem_file",
-    "export_matrices",
     "spectral_bound",
 ]
 
@@ -424,19 +423,6 @@ def spectral_bound(problem: Problem, model: Model) -> float:
     return worst
 
 
-def export_matrices(problem: Problem, model: Model, outdir) -> None:
-    """Write K, M(m), Q and f in Matrix Market format."""
-    from pathlib import Path
-    import scipy.io as sio
-
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    sio.mmwrite(out / "K.mtx", problem.K)
-    sio.mmwrite(out / "M.mtx", assemble_M(problem, model))
-    sio.mmwrite(out / "Q.mtx", problem.Q)
-    sio.mmwrite(out / "f.mtx", problem.f[:, None])
-
-
 def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
@@ -449,6 +435,8 @@ def parse_problem_file(path) -> ProblemSpec:
 
     dom = cp["domain"]
     dimension = dom.getint("dimension", 2)
+    if dimension not in (1, 2):
+        raise ValueError(f"[domain] dimension must be 1 or 2, got {dimension}")
     extent = tuple(_parse_floats(dom["extent"]))
     n_cells = tuple(int(v) for v in _parse_floats(dom["cells"]))
     kappa = dom.getfloat("kappa", 1.0)
@@ -460,6 +448,9 @@ def parse_problem_file(path) -> ProblemSpec:
         rc = cp["receivers"]
         if "grid" in rc:
             vals = _parse_floats(rc["grid"])
+            if len(vals) != 3 * dimension:
+                raise ValueError(f"[receivers] grid needs start stop count per axis: "
+                                 f"{3 * dimension} numbers in {dimension}-D, got {len(vals)}")
             if dimension == 2:
                 xa, xb, nxr, ya, yb, nyr = vals
                 X, Y = np.meshgrid(np.linspace(xa, xb, int(nxr)), np.linspace(ya, yb, int(nyr)))

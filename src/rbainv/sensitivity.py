@@ -116,17 +116,6 @@ class JacobianOperator:
             out += 2.0 * np.real(approx.poles[i] * parts[i])
         return out
 
-    def dense(self) -> np.ndarray:
-        """Column-by-column assembly through jvp; small problems only."""
-        P = self.shape[1]
-        e = np.zeros(P)
-        cols = []
-        for c in range(P):
-            e[c] = 1.0
-            cols.append(self.jvp(e))
-            e[c] = 0.0
-        return np.column_stack(cols)
-
 
 @dataclass
 class TaylorReport:
@@ -160,7 +149,7 @@ def taylor_test(problem: Problem, model: Model, approx: RationalApproximant,
     direction = np.asarray(direction, dtype=float)
 
     g0 = solve_all_poles(problem, model, approx, problem.f, cache)
-    d0, _ = response_from_pole_solutions(problem, approx, g0)
+    d0 = response_from_pole_solutions(problem, approx, g0)
     opr = JacobianOperator(problem, model, approx, cache, pole_solutions=g0)
     jd = opr.jvp(direction)
 
@@ -169,7 +158,7 @@ def taylor_test(problem: Problem, model: Model, approx: RationalApproximant,
     for k, h in enumerate(h_values):
         trial = model.perturbed(direction, h)
         g = solve_all_poles(problem, trial, approx, problem.f, cache)
-        d, _ = response_from_pole_solutions(problem, approx, g)
+        d = response_from_pole_solutions(problem, approx, g)
         e0[k] = np.linalg.norm(d - d0)
         e1[k] = np.linalg.norm(d - d0 - h * jd)
     cache.activate(model.version_tag())

@@ -64,7 +64,7 @@ def make_dataset(problem: Problem, true_model: Model, approx: RationalApproximan
                  noise: NoiseSpec, cache: ShiftedFactorCache | None = None) -> DataSet:
     """Forward-model the true model and add seeded Gaussian noise."""
     cache = cache or ShiftedFactorCache()
-    d_clean = forward_response(problem, true_model, approx, cache).data
+    d_clean = forward_response(problem, true_model, approx, cache)
     eps_a = noise.eps_a if noise.eps_a is not None else 1e-6 * np.max(np.abs(d_clean))
     if eps_a <= 0:
         raise ValueError("resolved eps_a must be > 0 (zero response?)")

@@ -247,34 +247,60 @@ def test_invert_rejects_mismatched_inputs(workdir, capsys, field, message):
     assert not rundir.exists()
 
 
-def write_model(workdir, kind):
-    """A --model file: the wrong cell count, or one NaN or infinite entry."""
-    prob = rb.build_problem(rb.parse_problem_file(workdir / "problem.ini"))
-    m = prob.reference_model().m.tolist()
-    if kind == "short":
-        m = m[:-1]
+BAD_PROBLEM_EDITS = {
+    "dimension 3": ("dimension = 2", "dimension = 3"),
+    "short receiver grid": ("grid = -30 30 3 -30 30 3", "grid = -45 45 7"),
+    "no domain": ("[domain]", "[dom]"),
+}
+
+
+def write_input(workdir, option, kind):
+    """A bad file for ``option``: missing, unparseable ("garbage"), a JSON
+    object with no entries ("{}"), a problem file with one of the
+    BAD_PROBLEM_EDITS, or a --model with the wrong cell count ("short") or
+    one NaN or infinite entry."""
+    path = workdir / f"bad_{option[2:]}_{kind.replace(' ', '_')}"
+    if kind == "missing":
+        return str(path)
+    if kind in ("garbage", "{}"):
+        text = "m = 1" if kind == "garbage" else kind
+    elif kind in BAD_PROBLEM_EDITS:
+        text = PROBLEM_INI.replace(*BAD_PROBLEM_EDITS[kind])
     else:
-        m[3] = float(kind)
-    path = workdir / f"model_{kind}.json"
-    path.write_text(json.dumps({"m": m}))
+        prob = rb.build_problem(rb.parse_problem_file(workdir / "problem.ini"))
+        m = prob.reference_model().m.tolist()
+        if kind == "short":
+            m = m[:-1]
+        else:
+            m[3] = float(kind)
+        text = json.dumps({"m": m})
+    path.write_text(text)
     return str(path)
 
 
 @pytest.mark.parametrize("command,option,value", [
     ("forward", "--model", "short"), ("forward", "--model", "nan"),
     ("verify", "--model", "inf"), ("make-data", "--model", "short"),
+    ("forward", "--model", "missing"), ("verify", "--model", "garbage"),
+    ("forward", "--problem", "dimension 3"), ("forward", "--problem", "short receiver grid"),
+    ("forward", "--problem", "no domain"), ("forward", "--problem", "garbage"),
+    ("forward", "--problem", "missing"), ("forward", "--approx", "missing"),
+    ("make-data", "--approx", "{}"), ("verify", "--approx", "garbage"),
+    ("invert", "--data", "missing"), ("invert", "--data", "{}"), ("invert", "--data", "garbage"),
     ("make-data", "--eps-r", "-1"), ("make-data", "--eps-a", "0"),
     ("verify", "--trials", "0"), ("verify", "--seed", "-1"), ("make-data", "--seed", "-1"),
     ("invert", "--lambda0", "0"), ("invert", "--lambda0", "-1"),
     ("invert", "--lambda0", "nan"), ("invert", "--lambda0", "inf"),
     ("invert", "--max-gn", "0"), ("invert", "--lsqr-max-iters", "0"),
+    ("invert", "--chi2-target", "nan"), ("invert", "--lsqr-tol", "nan"),
+    ("invert", "--lsqr-tol", "-1"),
 ])
 def test_bad_command_input_is_a_usage_error(workdir, capsys, command, option, value):
     out = workdir / f"bad_{command}.json"
     argv = [command, "--problem", str(workdir / "problem.ini"),
             "--approx", str(workdir / "approx.json")]
-    if option == "--model":
-        value = write_model(workdir, value)
+    if option in ("--problem", "--approx", "--data", "--model"):
+        value = write_input(workdir, option, value)
     if command == "invert":
         data = workdir / "data_good.json"
         assert main(["make-data"] + argv[1:] + ["--seed", "4", "--out", str(data)]) == 0
@@ -290,3 +316,4 @@ def test_bad_command_input_is_a_usage_error(workdir, capsys, command, option, va
     assert len(errors) == 1 and f"argument {option}:" in errors[0]
     assert "Traceback" not in err
     assert not out.exists()
+

@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 
 import rbainv as rb
 from conftest import shifted_matrix
+from oracles import dense_expm_oracle, implicit_euler_reference, pole_fields
 
 
 def manual_problem(k_diag, mass_diag):
@@ -33,23 +34,23 @@ def manual_problem(k_diag, mass_diag):
 def test_zero_source_zero_data(small_problem, small_approx):
     prob = manual_problem([1.0, 2.0], [1.0, 1.0])
     prob.f = np.zeros(2)
-    res = rb.forward_response(prob, rb.Model(np.zeros(2), np.zeros(2)),
-                              small_approx, rb.ShiftedFactorCache())
-    assert np.all(res.data == 0)
+    data = rb.forward_response(prob, rb.Model(np.zeros(2), np.zeros(2)),
+                               small_approx, rb.ShiftedFactorCache())
+    assert np.all(data == 0)
 
 
 def test_oracle_decoupled_modes():
     prob = manual_problem([1.0, 2.0], [1.0, 1.0])
     model = rb.Model(np.zeros(2), np.zeros(2))
     times = np.array([0.1, 0.5, 1.0])
-    U = rb.dense_expm_oracle(prob, model, times)
+    U = dense_expm_oracle(prob, model, times)
     expected = np.stack([np.exp(-1.0 * times), np.exp(-2.0 * times)], axis=1)
     np.testing.assert_allclose(U, expected, rtol=1e-12)
 
 
 def test_oracle_time_zero_returns_mass_solve(small_problem):
     model = small_problem.true_model()
-    U = rb.dense_expm_oracle(small_problem, model, [0.0])
+    U = dense_expm_oracle(small_problem, model, [0.0])
     b = spla.spsolve(rb.assemble_M(small_problem, model).tocsc(), small_problem.f)
     np.testing.assert_allclose(U[0], b, rtol=1e-8)
 
@@ -60,7 +61,7 @@ def test_oracle_zero_stiffness_is_constant():
                           source=rb.SourceSpec(kind="delta", position=(0.5,)))
     prob = rb.build_problem(spec)
     model = prob.reference_model()
-    U = rb.dense_expm_oracle(prob, model, [1e-3, 1.0, 10.0])
+    U = dense_expm_oracle(prob, model, [1e-3, 1.0, 10.0])
     b = spla.spsolve(rb.assemble_M(prob, model).tocsc(), prob.f)
     for row in U:
         np.testing.assert_allclose(row, b, rtol=1e-10)
@@ -69,7 +70,7 @@ def test_oracle_zero_stiffness_is_constant():
 def test_oracle_matches_expm(problem_1d):
     model = problem_1d.true_model()
     times = np.array([1e-3, 1e-2, 1e-1])
-    U = rb.dense_expm_oracle(problem_1d, model, times)
+    U = dense_expm_oracle(problem_1d, model, times)
     K = problem_1d.K.toarray()
     M = rb.assemble_M(problem_1d, model).toarray()
     b = np.linalg.solve(M, problem_1d.f)
@@ -80,31 +81,32 @@ def test_oracle_matches_expm(problem_1d):
 
 def test_oracle_dense_limit(small_problem):
     with pytest.raises(ValueError):
-        rb.dense_expm_oracle(small_problem, small_problem.reference_model(),
+        dense_expm_oracle(small_problem, small_problem.reference_model(),
                              [1e-4], dense_limit=10)
 
 
 def test_forward_matches_oracle(acc_problem, acc_approx):
     model = acc_problem.true_model()
     cache = rb.ShiftedFactorCache()
-    res = rb.forward_response(acc_problem, model, acc_approx, cache, retain_fields=True)
     g = rb.solve_all_poles(acc_problem, model, acc_approx, acc_problem.f, cache)
+    fields = pole_fields(acc_approx, g)
     for xi, g_i in zip(acc_approx.poles, g):
         A = shifted_matrix(acc_problem, model, xi)
         assert np.linalg.norm(A @ g_i - acc_problem.f) <= 1e-8 * np.linalg.norm(acc_problem.f)
-    U = rb.dense_expm_oracle(acc_problem, model, acc_approx.channels.times)
+    U = dense_expm_oracle(acc_problem, model, acc_approx.channels.times)
     for j in range(acc_approx.channels.count):
-        rel = np.linalg.norm(res.fields[j] - U[j]) / np.linalg.norm(U[j])
+        rel = np.linalg.norm(fields[j] - U[j]) / np.linalg.norm(U[j])
         assert rel <= max(1e-4, 10 * acc_approx.fit_error / np.linalg.norm(U[j]))
 
 
-def test_retained_fields_consistent_with_data(small_problem, small_approx):
+def test_pole_fields_observed_match_forward_response(small_problem, small_approx):
     model = small_problem.true_model()
-    res = rb.forward_response(small_problem, model, small_approx,
-                              rb.ShiftedFactorCache(), retain_fields=True)
-    K_t = small_approx.channels.count
-    stacked = np.concatenate([small_problem.Q @ res.fields[j] for j in range(K_t)])
-    np.testing.assert_array_equal(res.data, stacked)
+    cache = rb.ShiftedFactorCache()
+    data = rb.forward_response(small_problem, model, small_approx, cache)
+    g = rb.solve_all_poles(small_problem, model, small_approx, small_problem.f, cache)
+    # Q U^T sums the poles in another order than the pipeline, so equal to rounding
+    observed = (small_problem.Q @ pole_fields(small_approx, g).T).T.ravel()
+    np.testing.assert_allclose(observed, data, rtol=0, atol=1e-12 * np.max(np.abs(data)))
 
 
 def test_channel_doubling_costs_no_factorizations(small_problem, small_approx):
@@ -114,20 +116,20 @@ def test_channel_doubling_costs_no_factorizations(small_problem, small_approx):
     n_fact = cache.counters.factorizations
     doubled = rb.refit_residues(small_approx,
                                 rb.TimeChannels.logspaced(1e-6, 1e-3, 14))
-    res = rb.forward_response(small_problem, model, doubled, cache)
+    data = rb.forward_response(small_problem, model, doubled, cache)
     assert cache.counters.factorizations == n_fact
-    assert res.data.size == 14 * small_problem.receiver_count
+    assert data.size == 14 * small_problem.receiver_count
 
 
 def test_monotone_decay_in_mass_norm(acc_problem, acc_approx):
     model = acc_problem.true_model()
     M = rb.assemble_M(acc_problem, model)
-    U = rb.dense_expm_oracle(acc_problem, model, acc_approx.channels.times)
+    U = dense_expm_oracle(acc_problem, model, acc_approx.channels.times)
     norms = [np.sqrt(u @ (M @ u)) for u in U]
     assert all(norms[j + 1] <= norms[j] * (1 + 1e-12) for j in range(len(norms) - 1))
-    res = rb.forward_response(acc_problem, model, acc_approx,
-                              rb.ShiftedFactorCache(), retain_fields=True)
-    norms_rba = [np.sqrt(u @ (M @ u)) for u in res.fields]
+    cache = rb.ShiftedFactorCache()
+    g = rb.solve_all_poles(acc_problem, model, acc_approx, acc_problem.f, cache)
+    norms_rba = [np.sqrt(u @ (M @ u)) for u in pole_fields(acc_approx, g)]
     slack = 10 * acc_approx.fit_error * np.linalg.norm(acc_problem.f) + 1e-12
     assert all(norms_rba[j + 1] <= norms_rba[j] + slack for j in range(len(norms) - 1))
 
@@ -138,7 +140,7 @@ def test_euler_first_order_accuracy():
     times = np.array([0.5])
     errs = []
     for steps in (8, 16, 32, 64):
-        res = rb.implicit_euler_reference(prob, model, times, steps_per_decade=steps)
+        res = implicit_euler_reference(prob, model, times, steps_per_decade=steps)
         errs.append(abs(res.fields[0, 0] - np.exp(-0.5)))
     rates = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     for r in rates:
@@ -147,7 +149,7 @@ def test_euler_first_order_accuracy():
 
 def test_euler_factorization_count(problem_1d):
     times = np.geomspace(1e-3, 1.0, 31)
-    res = rb.implicit_euler_reference(problem_1d, problem_1d.reference_model(),
+    res = implicit_euler_reference(problem_1d, problem_1d.reference_model(),
                                       times, steps_per_decade=10)
     assert res.factorizations == 31
     assert res.solves == 310
@@ -156,7 +158,7 @@ def test_euler_factorization_count(problem_1d):
 def test_euler_single_gate_single_step(problem_1d):
     model = problem_1d.reference_model()
     t1 = 0.37
-    res = rb.implicit_euler_reference(problem_1d, model, [t1], steps_per_decade=1)
+    res = implicit_euler_reference(problem_1d, model, [t1], steps_per_decade=1)
     M = rb.assemble_M(problem_1d, model).toarray()
     K = problem_1d.K.toarray()
     b = np.linalg.solve(M, problem_1d.f)
@@ -171,5 +173,5 @@ def test_counter_law_rba_vs_euler(small_problem, small_approx):
     rb.forward_response(small_problem, model, small_approx, cache)
     assert cache.counters.factorizations == small_approx.pole_count
     times = small_approx.channels.times
-    euler = rb.implicit_euler_reference(small_problem, model, times)
+    euler = implicit_euler_reference(small_problem, model, times)
     assert euler.factorizations == times.size

@@ -7,6 +7,7 @@ import pytest
 
 import rbainv as rb
 import rbainv.inversion as inv_mod
+from oracles import dense_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -43,13 +44,13 @@ def test_gn_step_zero_residual_zero_update(tiny_setup):
     prob, ap, _ = tiny_setup
     model = prob.reference_model()
     cache = rb.ShiftedFactorCache()
-    d_ref = rb.forward_response(prob, model, ap, cache).data
+    d_ref = rb.forward_response(prob, model, ap, cache)
     perfect = rb.DataSet(d_obs=d_ref, sigma_d=np.full(d_ref.size, 0.1),
                          times=ap.channels.times, receivers=prob.receivers,
                          eps_r=0.0, eps_a=0.1, seed=0, provenance={})
     reg = rb.build_reg(prob.grid)
     opr = rb.JacobianOperator(prob, model, ap, cache)
-    d_pred, _ = rb.response_from_pole_solutions(prob, ap, opr.g)
+    d_pred = rb.response_from_pole_solutions(prob, ap, opr.g)
     dm, iters, _ = rb.gn_step(opr, reg, perfect, d_pred, model, 1.0)
     assert np.allclose(dm, 0.0)
 
@@ -61,10 +62,10 @@ def test_gn_step_matches_normal_equations(tiny_setup):
     cache = rb.ShiftedFactorCache()
     lam = 5.0
     opr = rb.JacobianOperator(prob, model, ap, cache)
-    d_pred, _ = rb.response_from_pole_solutions(prob, ap, opr.g)
+    d_pred = rb.response_from_pole_solutions(prob, ap, opr.g)
     dm, iters, _ = rb.gn_step(opr, reg, data, d_pred, model, lam,
                               rb.LsqrConfig(tol=1e-14, max_iters=3000))
-    J = opr.dense()
+    J = dense_jacobian(opr)
     W2 = np.diag(data.weights ** 2)
     L = reg.L.toarray()
     lhs = J.T @ W2 @ J + lam * L
@@ -80,7 +81,7 @@ def test_gn_step_large_lambda_regularization_dominated(tiny_setup):
     reg = rb.build_reg(prob.grid)
     cache = rb.ShiftedFactorCache()
     opr = rb.JacobianOperator(prob, start, ap, cache)
-    d_pred, _ = rb.response_from_pole_solutions(prob, ap, opr.g)
+    d_pred = rb.response_from_pole_solutions(prob, ap, opr.g)
     dm, _, _ = rb.gn_step(opr, reg, data, d_pred, start, 1e14,
                           rb.LsqrConfig(tol=1e-12, max_iters=2000))
     target = start.m_ref - start.m
@@ -147,7 +148,7 @@ def test_run_inversion_noise_free_start_at_truth(tiny_setup):
     # the inversion starts at the reference model, so data made there are exact
     prob, ap, _ = tiny_setup
     ref = prob.reference_model()
-    clean = rb.forward_response(prob, ref, ap, rb.ShiftedFactorCache()).data
+    clean = rb.forward_response(prob, ref, ap, rb.ShiftedFactorCache())
     perfect = rb.DataSet(d_obs=clean, sigma_d=np.abs(clean) * 0.03 + 1e-9,
                          times=ap.channels.times, receivers=prob.receivers,
                          eps_r=0.03, eps_a=1e-9, seed=0, provenance={})
@@ -196,13 +197,13 @@ def test_gradient_identity_finite_differences(tiny_setup):
     lam = 3.0
     cache = rb.ShiftedFactorCache()
     opr = rb.JacobianOperator(prob, model, ap, cache)
-    d_pred, _ = rb.response_from_pole_solutions(prob, ap, opr.g)
+    d_pred = rb.response_from_pole_solutions(prob, ap, opr.g)
     W = data.weights
     grad = opr.vjp(W * W * (d_pred - data.d_obs)) + lam * (reg.L @ (model.m - model.m_ref))
 
     def phi_at(m_vec):
         mdl = rb.Model(m_vec, model.m_ref)
-        d = rb.forward_response(prob, mdl, ap, rb.ShiftedFactorCache()).data
+        d = rb.forward_response(prob, mdl, ap, rb.ShiftedFactorCache())
         rv, _ = rb.reg_value_grad(reg, mdl)
         return 0.5 * float(np.sum((W * (d - data.d_obs)) ** 2)) + lam * rv
 
@@ -248,7 +249,7 @@ def test_default_lambda0_formula(tiny_setup):
     prob, ap, data = tiny_setup
     reg = rb.build_reg(prob.grid)
     model = prob.reference_model()
-    d0 = rb.forward_response(prob, model, ap, rb.ShiftedFactorCache()).data
+    d0 = rb.forward_response(prob, model, ap, rb.ShiftedFactorCache())
     lam0 = rb.default_lambda0(prob, data, reg, d0, model)
     misfit = float(np.sum((data.weights * (d0 - data.d_obs)) ** 2))
     pert = np.log(10.0) * np.sin(np.arange(model.cell_count, dtype=float))
@@ -320,7 +321,7 @@ def test_returned_prediction_is_final_models(tiny_setup, cfg, diagnostic):
     assert state.diagnostic == diagnostic
     assert state.history and state.history[-1].accepted
     np.testing.assert_array_equal(
-        state.d_pred, rb.forward_response(prob, state.model, ap, rb.ShiftedFactorCache()).data)
+        state.d_pred, rb.forward_response(prob, state.model, ap, rb.ShiftedFactorCache()))
 
 
 def test_back_to_back_inversions_leave_no_threads(tiny_setup):

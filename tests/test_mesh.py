@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-import scipy.io as sio
 import scipy.linalg as la
 import scipy.sparse as sp
 
 import rbainv as rb
 from conftest import in_box, receiver_grid
-from rbainv import mesh
 
 
 def uniform_1d(n=10, sigma=0.1, kappa=1.0, bc="dirichlet"):
@@ -264,17 +262,6 @@ sigma = 0.01
     assert prob.receiver_count == 9
 
 
-def test_export_matrices(tmp_path, small_problem):
-    model = small_problem.true_model()
-    rb.export_matrices(small_problem, model, tmp_path)
-    K = sio.mmread(tmp_path / "K.mtx")
-    M = sio.mmread(tmp_path / "M.mtx")
-    np.testing.assert_allclose(K.toarray(), small_problem.K.toarray(), rtol=1e-12)
-    np.testing.assert_allclose(M.toarray(),
-                               rb.assemble_M(small_problem, model).toarray(), rtol=1e-12)
-    assert (tmp_path / "Q.mtx").exists() and (tmp_path / "f.mtx").exists()
-
-
 def test_model_version_tag_tracks_content():
     m = rb.Model(np.array([1.0, 2.0]), np.zeros(2))
     same = rb.Model(np.array([1.0, 2.0]), np.zeros(2))
@@ -361,12 +348,32 @@ def reference_interp(nodes, cells, point):
     return c, lam / lam.sum()
 
 
+def reference_elements(nodes, cells, measure, kappa):
+    """Unit-conductivity P1 mass and kappa-scaled stiffness, cell by cell."""
+    mass, stiff = [], []
+    for tri, size in zip(cells, measure):
+        if len(tri) == 2:
+            # hat slopes -1/w and 1/w; int phi_a phi_b = w/6 (2 on the diagonal)
+            mass.append(size / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+            stiff.append(kappa / size * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+            continue
+        (x0, y0), (x1, y1), (x2, y2) = nodes[tri]
+        # 2A grad(lambda_i) = (y_j - y_k, x_k - x_j) for (i, j, k) cyclic
+        b = np.array([y1 - y2, y2 - y0, y0 - y1])
+        c = np.array([x2 - x1, x0 - x2, x1 - x0])
+        mass.append(size / 12.0 * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0],
+                                            [1.0, 1.0, 2.0]]))
+        stiff.append(kappa * (np.outer(b, b) + np.outer(c, c)) / (4.0 * size))
+    return np.array(mass), np.array(stiff)
+
+
 def reference_problem(spec):
-    """Grid arrays, K, Q and f assembled with per-cell and per-receiver loops."""
+    """Grid arrays, element matrices, K, Q and f assembled with per-cell and
+    per-receiver loops."""
     nodes, cells, measure, face_cells, face_measure, dof = reference_grid(spec)
     grid = rb.Grid(spec.dimension, nodes, cells, measure, face_cells, face_measure,
                    dof, int(np.sum(dof >= 0)))
-    _, stiff = mesh._local_matrices(grid, spec.kappa)
+    mass, stiff = reference_elements(nodes, cells, measure, spec.kappa)
     cell_dofs = dof[cells]
     N, k = grid.dof_count, cells.shape[1]
 
@@ -406,7 +413,7 @@ def reference_problem(spec):
             for d in cell_dofs[c]:
                 if d >= 0:
                     f[d] += src.amplitude * measure[c] / k
-    return grid, K, Q, f
+    return grid, mass, stiff, K, Q, f
 
 
 def _spec_2d(shape, extent=(-60.0, 60.0, -60.0, 60.0), **kw):
@@ -452,11 +459,14 @@ def _assert_same_csr(a, b):
 def test_build_problem_matches_reference_loops_bit_for_bit(name):
     spec = ORACLE_SPECS[name]
     prob = rb.build_problem(spec)
-    ref_grid, K, Q, f = reference_problem(spec)
+    ref_grid, mass, stiff, K, Q, f = reference_problem(spec)
     for field in ("nodes", "cells", "cell_measure", "face_cells", "face_measure",
                   "dof_of_node"):
         got, want = getattr(prob.grid, field), getattr(ref_grid, field)
         assert got.dtype == want.dtype and np.array_equal(got, want), field
+    for got, want, field in ((prob.mass_local, mass, "mass_local"),
+                             (prob.stiff_local, stiff, "stiff_local")):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
     assert prob.dof_count == ref_grid.dof_count
     _assert_same_csr(prob.K, K)
     _assert_same_csr(prob.Q, Q)

@@ -113,5 +113,5 @@ def tiny_inversion():
     data = rb.make_dataset(prob, prob.true_model(), ap, rb.NoiseSpec(eps_r=0.03, seed=2))
     state = rb.run_inversion(prob, data, ap, rb.InversionConfig(lambda0=20.0, max_gn=6))
     g = rb.solve_all_poles(prob, state.model, ap, prob.f, rb.ShiftedFactorCache())
-    d_pred, _ = rb.response_from_pole_solutions(prob, ap, g)
+    d_pred = rb.response_from_pole_solutions(prob, ap, g)
     return prob, ap, data, state, d_pred

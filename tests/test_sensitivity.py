@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import rbainv as rb
+from oracles import dense_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +64,7 @@ def test_jvp_against_central_differences(small_problem, small_approx, operator):
 
     def data_at(mdl):
         return rb.forward_response(small_problem, mdl, small_approx,
-                                   rb.ShiftedFactorCache()).data
+                                   rb.ShiftedFactorCache())
 
     fd = (data_at(model.perturbed(v, h)) - data_at(model.perturbed(v, -h))) / (2 * h)
     jv = operator.jvp(v)
@@ -78,7 +79,7 @@ def test_vjp_against_dense_jacobian(problem_1d):
                             rb.FitConfig(grid_size=200))
     model = problem_1d.true_model()
     opr = rb.JacobianOperator(problem_1d, model, ap, rb.ShiftedFactorCache())
-    J = opr.dense()
+    J = dense_jacobian(opr)
     rng = np.random.default_rng(7)
     for _ in range(5):
         w = rng.standard_normal(opr.shape[0])

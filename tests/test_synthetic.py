@@ -9,7 +9,7 @@ import rbainv as rb
 def clean_response(small_problem, small_approx):
     model = small_problem.true_model()
     return rb.forward_response(small_problem, model, small_approx,
-                               rb.ShiftedFactorCache()).data
+                               rb.ShiftedFactorCache())
 
 
 def test_noise_spec_validation():
@@ -65,7 +65,7 @@ def test_weighted_residuals_standard_normal(inv_problem, inv_approx):
     """>= 1000 data: per-datum weighted residuals pass a KS normality check."""
     model = inv_problem.true_model()
     cache = rb.ShiftedFactorCache()
-    clean = rb.forward_response(inv_problem, model, inv_approx, cache).data
+    clean = rb.forward_response(inv_problem, model, inv_approx, cache)
     assert clean.size >= 1000
     data = rb.make_dataset(inv_problem, model, inv_approx,
                            rb.NoiseSpec(eps_r=0.03, seed=3), cache)
