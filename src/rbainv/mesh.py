@@ -1,11 +1,11 @@
 """Desk-scale diffusion problems: grids, operators, sources, observations.
 
-Generates 1-D interval and 2-D structured-triangulated rectangle problems
-with P1 nodal elements.  The assembled objects keep the algebraic roles
-needed downstream: a model-independent stiffness matrix K (real, symmetric
-positive semidefinite), a conductivity-weighted mass matrix M(m) built from
-per-cell local blocks, the per-cell mass-derivative structure, a source
-vector f, and an interpolatory observation matrix Q.
+Generates P1 problems on a box split into d-simplices (Kuhn's split), with
+one rule for every d (specs take d = 1 or 2).  The assembled objects keep
+the algebraic roles needed downstream: a model-independent stiffness matrix
+K (real, symmetric positive semidefinite), a conductivity-weighted mass
+matrix M(m) built from per-cell local blocks, the per-cell mass-derivative
+structure, a source vector f, and an interpolatory observation matrix Q.
 
 The model vector m holds the natural log of conductivity per cell, so
 M(m) = sum_c exp(m_c) * M_c and dM/dm_c = exp(m_c) * M_c.
@@ -14,11 +14,15 @@ M(m) = sum_c exp(m_c) * M_c and dM/dm_c = exp(m_c) * M_c.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 
 __all__ = [
@@ -40,7 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Cell/face structure of a 1-D interval or triangulated rectangle."""
+    """Cell/face structure of a box split into d-simplices of d+1 vertices."""
 
     dimension: int
     nodes: np.ndarray           # (n_nodes, dim)
@@ -163,123 +167,115 @@ class Problem:
 
 
 def _in_box(points: np.ndarray, box) -> np.ndarray:
-    """Points inside a closed box (x0, x1) in 1-D or (x0, x1, y0, y1) in 2-D."""
+    """Points inside a closed box given as a (lo, hi) pair per axis."""
     box = np.asarray(box, dtype=float).reshape(-1, 2)[: points.shape[1]]
     return np.all((points >= box[:, 0]) & (points <= box[:, 1]), axis=1)
 
 
-def _grid_1d(extent, n, bc) -> Grid:
-    xs = np.linspace(extent[0], extent[1], n + 1)
-    cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    return _grid(xs[:, None], cells, np.diff(xs), extent, bc)
+def _lattice(axes) -> np.ndarray:
+    """Every point of the tensor grid on ``axes``, first axis fastest, (n, d)."""
+    return np.stack(np.meshgrid(*axes[::-1], indexing="ij")[::-1], axis=-1).reshape(-1, len(axes))
 
 
-def _grid_2d(extent, shape, bc) -> Grid:
-    x0, x1, y0, y1 = extent
-    nx, ny = shape
-    X, Y = np.meshgrid(np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1))
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-    ids = np.arange(nodes.shape[0]).reshape(ny + 1, nx + 1)
-    v00, v10 = ids[:-1, :-1].ravel(), ids[:-1, 1:].ravel()
-    v01, v11 = ids[1:, :-1].ravel(), ids[1:, 1:].ravel()
-    # two triangles per rectangle, rectangles row by row
-    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+def _sum(terms):
+    """Sum that starts from its first term, so that signed zeros survive."""
+    return functools.reduce(operator.add, terms)
 
+
+def _minor(a, rows, cols, sign=1):
+    """``sign`` times the determinant of the ``rows`` x ``cols`` minor of each
+    stacked matrix in ``a``, expanded along its first row with the sign in each
+    term, so that a 2x2 one, s a00 a11 + (-s a01) a10, cancels to +0."""
+    if not rows:
+        return 1.0
+    return _sum(sign * (-1) ** j * a[..., rows[0], c]
+                * _minor(a, rows[1:], cols[:j] + cols[j + 1:]) for j, c in enumerate(cols))
+
+
+def _cofactors(a, cols):
+    """Cofactors of columns ``cols`` of each stacked square matrix in ``a``, as [row, col, ...]."""
+    n = a.shape[-1]
+    out = np.empty((n, len(cols)) + a.shape[:-2])
+    for i, (j, col) in itertools.product(range(n), enumerate(cols)):
+        out[i, j] = _minor(a, [*range(i), *range(i + 1, n)], [*range(col), *range(col + 1, n)],
+                           (-1) ** (i + col))
+    return out
+
+
+def _box_grid(box, counts, bc) -> Grid:
+    """Kuhn split of ``box`` (a (lo, hi) row per axis) into ``counts`` cubes per
+    axis, first axis fastest, and of each cube into d! simplices, one per axis
+    order in ``itertools.permutations`` order.  A simplex walks from its cube's
+    low corner along its order; an odd order swaps its last two vertices, so
+    that each cell is positively oriented.  Its measure is |det E| / d!, E
+    holding its edges from vertex 0.  Faces (facets two cells share) ascend by
+    sorted vertex tuple, lower cell first.  Dirichlet drops boundary nodes."""
+    d = len(counts)
+    nodes = _lattice([np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(box, counts, strict=True)])
+    strides = np.cumprod([1] + [n + 1 for n in counts[:-1]])
+    orders = list(itertools.permutations(range(d)))
+    paths = np.cumsum([[0, *strides[list(o)]] for o in orders], axis=1)
+    odd = np.linalg.det(np.eye(d)[orders]) < 0        # permutation matrices: det +-1
+    paths[odd, -2:] = paths[odd, :-3:-1]
+    corners = _lattice([np.arange(n) for n in counts]) @ strides
+    cells = (corners[:, None, None] + paths).reshape(-1, d + 1)
     p = nodes[cells]
-    area = 0.5 * np.abs(
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-    return _grid(nodes, cells, area, extent, bc)
-
-
-def _grid(nodes, cells, cell_measure, extent, bc) -> Grid:
-    """Faces and DOFs of a simplex grid whose nodes lie in the box `extent`.
-
-    A face is a facet (a vertex in 1-D, an edge in 2-D) that two cells
-    share.  Faces come in ascending order of their sorted vertex tuple, each
-    with its lower cell first.  A Dirichlet bc drops every node on the
-    extent's boundary.
-    """
-    if np.any(cell_measure <= 0):
+    measure = np.abs(_minor(p[:, 1:] - p[:, :1], [*range(d)], [*range(d)])) / math.factorial(d)
+    if np.any(measure <= 0):
         raise ValueError("degenerate cells")
-    P, k = cells.shape
-    dim = k - 1
-    drop_one = list(itertools.combinations(range(k), dim))
-    facets = np.sort(cells[:, drop_one], axis=2).reshape(-1, dim)
-    owner = np.repeat(np.arange(P), len(drop_one))
+
+    drop_one = list(itertools.combinations(range(d + 1), d))
+    facets = np.sort(cells[:, drop_one], axis=2).reshape(-1, d)
+    owner = np.repeat(np.arange(len(cells)), len(drop_one))
     order = np.lexsort((owner, *facets.T[::-1]))
     facets, owner = facets[order], owner[order]
     shared = np.flatnonzero(np.all(facets[1:] == facets[:-1], axis=1))
     face_cells = np.column_stack([owner[shared], owner[shared + 1]])
-    # a 2-D face has one edge, whose length is sqrt(d.d) with the dot in
-    # BLAS as np.linalg.norm takes it; a 1-D face is a point, so it has no
-    # edge and the empty product makes its measure 1
-    d = np.diff(nodes[facets[shared]], axis=1)
-    face_measure = np.sqrt(np.vecdot(d, d)).prod(axis=1)
+    # a 2-D face's edge length is sqrt(e.e), the dot in BLAS as np.linalg.norm
+    # takes it; a 1-D face is a point, and the empty product makes its measure 1
+    e = np.diff(nodes[facets[shared]], axis=1)
+    face_measure = np.sqrt(np.vecdot(e, e)).prod(axis=1)
 
-    if bc == "dirichlet":
-        box = np.asarray(extent, dtype=float).reshape(-1, 2)
-        free = np.all((nodes > box[:, 0]) & (nodes < box[:, 1]), axis=1)
-    else:
-        free = np.ones(nodes.shape[0], dtype=bool)
-    dof = -np.ones(nodes.shape[0], dtype=int)
+    free = (np.all((nodes > box[:, 0]) & (nodes < box[:, 1]), axis=1) if bc == "dirichlet"
+            else np.ones(len(nodes), dtype=bool))
+    dof = -np.ones(len(nodes), dtype=int)
     dof[free] = np.arange(free.sum())
-    return Grid(dim, nodes, cells, cell_measure, face_cells, face_measure, dof,
-                int(free.sum()))
+    return Grid(d, nodes, cells, measure, face_cells, face_measure, dof, int(free.sum()))
 
 
 def _local_matrices(grid: Grid, kappa: float):
-    """Unit-conductivity local mass and kappa-scaled local stiffness per cell."""
-    if grid.dimension == 1:
-        w = grid.cell_measure
-        mass = w[:, None, None] / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-        stiff = kappa / w[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        return mass, stiff
-    p = grid.nodes[grid.cells]          # (P, 3, 2)
-    area = grid.cell_measure
-    mass = area[:, None, None] / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    # hat-function gradients: grad(lambda_i) = perp(p_k - p_j) / (2A), cyclic
-    b = np.stack([p[:, 1, 1] - p[:, 2, 1],
-                  p[:, 2, 1] - p[:, 0, 1],
-                  p[:, 0, 1] - p[:, 1, 1]], axis=1)
-    c = np.stack([p[:, 2, 0] - p[:, 1, 0],
-                  p[:, 0, 0] - p[:, 2, 0],
-                  p[:, 1, 0] - p[:, 0, 0]], axis=1)
-    stiff = kappa * (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) \
-        / (4.0 * area[:, None, None])
-    return mass, stiff
+    """Unit-conductivity local mass |T| (1 + I) / ((d+1)(d+2)) and kappa-scaled
+    local stiffness kappa C C^T / ((d!)^2 |T|) per cell, where row i of C holds
+    the cofactors of vertex i's coordinates in [1 | vertices], so that
+    C / (d! |T|) holds the hat gradients up to sign."""
+    d = grid.dimension
+    size = grid.cell_measure[:, None, None]
+    mass = size / ((d + 1) * (d + 2)) * (np.ones((d + 1, d + 1)) + np.eye(d + 1))
+    p = grid.nodes[grid.cells]
+    C = _cofactors(np.concatenate([np.ones(p.shape[:2] + (1,)), p], axis=2), range(1, d + 1)).T
+    CCt = _sum(C[:, a, :, None] * C[:, a, None, :] for a in range(d))
+    return mass, kappa * CCt / (math.factorial(d) ** 2 * size)
 
 
 def _interp_rows(grid: Grid, points: np.ndarray):
-    """Containing cell (R,) and P1 interpolation weights (R, k) per point."""
-    if grid.dimension == 1:
-        x = points[:, 0]
-        xs = grid.nodes[:, 0]
-        outside = (x < xs[0] - 1e-12) | (x > xs[-1] + 1e-12)
-        c = np.clip(np.searchsorted(xs, x) - 1, 0, grid.cell_count - 1)
-        xa, xb = xs[grid.cells[c]].T
-        t = (x - xa) / (xb - xa)
-        lam = np.column_stack([1.0 - t, t])
-    else:
-        pts = grid.nodes[grid.cells]        # (P, 3, 2)
-        v0 = pts[:, 0]
-        d1 = pts[:, 1] - v0
-        d2 = pts[:, 2] - v0
-        rel = points[:, None, :] - v0       # (R, P, 2)
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        l1 = (rel[..., 0] * d2[:, 1] - rel[..., 1] * d2[:, 0]) / det
-        l2 = (d1[:, 0] * rel[..., 1] - d1[:, 1] * rel[..., 0]) / det
-        l0 = 1.0 - l1 - l2
-        eps = 1e-10
-        ok = (l0 >= -eps) & (l1 >= -eps) & (l2 >= -eps)
-        outside = ~np.any(ok, axis=1)
-        c = np.argmax(ok, axis=1)
-        r = np.arange(len(c))
-        lam = np.clip(np.column_stack([l0[r, c], l1[r, c], l2[r, c]]), 0.0, 1.0)
-        lam /= lam.sum(axis=1, keepdims=True)
+    """Containing cell (R,) and P1 weights (R, k) per point: Cramer's rule with
+    the cofactors of E gives lambda_1..d, lambda_0 = (1 - lambda_1) - ..., and a
+    point lies in the first cell whose weights are all >= -1e-10."""
+    d = grid.dimension
+    p = grid.nodes[grid.cells]
+    E = p[:, 1:] - p[:, :1]             # row i: vertex i+1 minus vertex 0
+    cof = _cofactors(E, range(d))
+    det = _sum(E[:, 0, a] * cof[0, a] for a in range(d))
+    rel = [points[:, a, None] - p[:, 0, a] for a in range(d)]     # (R, P) each
+    lam = [_sum(rel[a] * cof[j, a] for a in range(d)) / det for j in range(d)]
+    lam.insert(0, functools.reduce(operator.sub, lam, 1.0))
+    ok = functools.reduce(operator.and_, (l >= -1e-10 for l in lam))
+    outside = ~np.any(ok, axis=1)
     if np.any(outside):
         raise ValueError(f"point {points[np.argmax(outside)]} outside domain")
-    return c, lam
+    c = np.argmax(ok, axis=1)
+    lam = np.clip(np.column_stack([l[np.arange(len(c)), c] for l in lam]), 0.0, 1.0)
+    return c, lam / lam.sum(axis=1, keepdims=True)
 
 
 def build_problem(spec: ProblemSpec) -> Problem:
@@ -288,13 +284,11 @@ def build_problem(spec: ProblemSpec) -> Problem:
     Homogeneous Dirichlet boundaries are handled by eliminating boundary
     DOFs; a 'neumann' bc keeps every node (K then annihilates constants).
     """
-    if spec.dimension == 1:
-        n = spec.n_cells if np.isscalar(spec.n_cells) else spec.n_cells[0]
-        grid = _grid_1d(spec.extent[:2], int(n), spec.bc)
-    elif spec.dimension == 2:
-        grid = _grid_2d(spec.extent, tuple(int(v) for v in spec.n_cells), spec.bc)
-    else:
+    d, n = spec.dimension, spec.n_cells
+    if d not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
+    counts = [int(n)] * d if np.isscalar(n) else [int(v) for v in n[:d]]
+    grid = _box_grid(np.reshape(spec.extent, (-1, 2))[:d], counts, spec.bc)
 
     mass_local, stiff_local = _local_matrices(grid, spec.kappa)
     cell_dofs = grid.dof_of_node[grid.cells]
@@ -412,15 +406,9 @@ def spectral_bound(problem: Problem, model: Model) -> float:
     of any element pencil (stiff_c, exp(m_c) * mass_c), so the maximum over
     cells gives a cheap rigorous bound for the fit interval.
     """
-    import scipy.linalg as la
-
-    sig = np.exp(model.m)
-    worst = 0.0
-    for c in range(problem.grid.cell_count):
-        w = la.eigh(problem.stiff_local[c], sig[c] * problem.mass_local[c],
-                    eigvals_only=True)
-        worst = max(worst, float(w[-1]))
-    return worst
+    w = la.eigh(problem.stiff_local, np.exp(model.m)[:, None, None] * problem.mass_local,
+                eigvals_only=True)
+    return float(w[:, -1].max(initial=0.0))
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -451,16 +439,10 @@ def parse_problem_file(path) -> ProblemSpec:
             if len(vals) != 3 * dimension:
                 raise ValueError(f"[receivers] grid needs start stop count per axis: "
                                  f"{3 * dimension} numbers in {dimension}-D, got {len(vals)}")
-            if dimension == 2:
-                xa, xb, nxr, ya, yb, nyr = vals
-                X, Y = np.meshgrid(np.linspace(xa, xb, int(nxr)), np.linspace(ya, yb, int(nyr)))
-                receivers = np.column_stack([X.ravel(), Y.ravel()])
-            else:
-                xa, xb, nxr = vals
-                receivers = np.linspace(xa, xb, int(nxr))[:, None]
+            receivers = _lattice([np.linspace(a, b, int(n))
+                                  for a, b, n in np.reshape(vals, (-1, 3))])
         elif "positions" in rc:
-            flat = _parse_floats(rc["positions"])
-            receivers = np.asarray(flat, dtype=float).reshape(-1, dimension)
+            receivers = np.reshape(_parse_floats(rc["positions"]), (-1, dimension))
 
     source = SourceSpec()
     if cp.has_section("source"):

@@ -401,16 +401,31 @@ def save_approximant(approx: RationalApproximant, path) -> None:
         json.dump(doc, fh)
 
 
+def json_entry(doc, key: str, shape: tuple) -> np.ndarray:
+    """``doc[key]`` as a finite float array of ``shape`` (None matches any
+    length), or a ValueError that names the entry."""
+    try:
+        a = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        a = np.array(np.nan)
+    if a.ndim != len(shape) or not np.all(np.isfinite(a)) \
+            or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        dims = " x ".join("n" if n is None else str(n) for n in shape)
+        raise ValueError(f"entry {key!r}: expected " + (
+            f"an array of {dims} finite numbers" if shape else "a finite number"))
+    return a
+
+
 def load_approximant(path) -> RationalApproximant:
     with open(path) as fh:
         doc = json.load(fh)
-    poles = np.array([complex(re, im) for re, im in doc["poles"]])
-    res_by_channel = np.array(
-        [[complex(re, im) for re, im in chan] for chan in doc["residues"]])
+    times = json_entry(doc, "times", (None,))
+    poles = json_entry(doc, "poles", (None, 2)).view(complex)[:, 0]
+    residues = json_entry(doc, "residues", (times.size, poles.size, 2)).view(complex)[..., 0]
     return RationalApproximant(
         poles=poles,
-        residues=res_by_channel.T,
-        spectral_interval=tuple(doc["interval"]),
-        fit_error=float(doc["fit_error"]),
-        channels=TimeChannels(np.array(doc["times"])),
+        residues=residues.T,
+        spectral_interval=tuple(json_entry(doc, "interval", (2,))),
+        fit_error=float(json_entry(doc, "fit_error", ())),
+        channels=TimeChannels(times),
     )

@@ -63,13 +63,12 @@ class RunReport:
 
 def fit_timing_model(history) -> TimingModel:
     """Ordinary least squares of per-iteration wall time against LSQR
-    iteration count; flags the degenerate all-equal-counts case."""
-    rows = [(r.lsqr_iters, r.wall_ms) if hasattr(r, "lsqr_iters")
-            else (r["lsqr_iters"], r["wall_ms"]) for r in history]
-    if len(rows) < 3:
+    iteration count, over history rows as ``state.json`` stores them (dicts);
+    flags the degenerate all-equal-counts case."""
+    if len(history) < 3:
         raise ValueError("need at least 3 iterations to fit a timing model")
-    x = np.array([r[0] for r in rows], dtype=float)
-    y = np.array([r[1] for r in rows], dtype=float)
+    x = np.array([r["lsqr_iters"] for r in history], dtype=float)
+    y = np.array([r["wall_ms"] for r in history], dtype=float)
     if np.all(x == x[0]):
         return TimingModel(intercept=float(np.mean(y)), slope=np.nan,
                            r_squared=np.nan, defined=False)

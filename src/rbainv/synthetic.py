@@ -15,7 +15,7 @@ import numpy as np
 
 from .forward import forward_response
 from .mesh import Model, Problem
-from .rba import RationalApproximant
+from .rba import RationalApproximant, json_entry
 from .shifted import ShiftedFactorCache
 
 __all__ = ["NoiseSpec", "DataSet", "make_dataset", "save_dataset", "load_dataset"]
@@ -99,13 +99,17 @@ def save_dataset(data: DataSet, path) -> None:
 def load_dataset(path) -> DataSet:
     with open(path) as fh:
         doc = json.load(fh)
+    times = json_entry(doc, "times", (None,))
+    receivers = json_entry(doc, "receivers", (None, None))
+    size = (times.size * len(receivers),)
+    if not isinstance(doc["seed"], int):
+        raise ValueError("entry 'seed': expected an integer")
     return DataSet(
-        d_obs=np.asarray(doc["d_obs"], dtype=float),
-        sigma_d=np.asarray(doc["sigma_d"], dtype=float),
-        times=np.asarray(doc["times"], dtype=float),
-        receivers=np.asarray(doc["receivers"], dtype=float),
-        eps_r=float(doc["eps_r"]),
-        eps_a=float(doc["eps_a"]),
-        seed=int(doc["seed"]),
+        d_obs=json_entry(doc, "d_obs", size),
+        sigma_d=json_entry(doc, "sigma_d", size),
+        times=times, receivers=receivers,
+        eps_r=float(json_entry(doc, "eps_r", ())),
+        eps_a=float(json_entry(doc, "eps_a", ())),
+        seed=doc["seed"],
         provenance=doc.get("provenance", {}),
     )

@@ -235,7 +235,7 @@ def test_criterion_8_parallel_determinism(inv_problem, inv_approx,
 
 def test_criterion_9_timing_model_soft(inversion_run):
     state, _ = inversion_run
-    model = rb.fit_timing_model(state.history)
+    model = rb.fit_timing_model([r.as_dict() for r in state.history])
     ok = model.defined and model.r_squared >= 0.95
     detail = (f"wall = {model.intercept:.1f} ms + {model.slope:.2f} ms/LSQR iteration, "
               f"R^2 {model.r_squared:.3f} over {len(state.history)} iterations "

@@ -257,8 +257,9 @@ BAD_PROBLEM_EDITS = {
 def write_input(workdir, option, kind):
     """A bad file for ``option``: missing, unparseable ("garbage"), a JSON
     object with no entries ("{}"), a problem file with one of the
-    BAD_PROBLEM_EDITS, or a --model with the wrong cell count ("short") or
-    one NaN or infinite entry."""
+    BAD_PROBLEM_EDITS, a --model with the wrong cell count ("short") or
+    one NaN or infinite entry, or a good --approx or --data file with one
+    entry replaced ("entry=json")."""
     path = workdir / f"bad_{option[2:]}_{kind.replace(' ', '_')}"
     if kind == "missing":
         return str(path)
@@ -266,6 +267,10 @@ def write_input(workdir, option, kind):
         text = "m = 1" if kind == "garbage" else kind
     elif kind in BAD_PROBLEM_EDITS:
         text = PROBLEM_INI.replace(*BAD_PROBLEM_EDITS[kind])
+    elif "=" in kind:
+        entry, value = kind.split("=")
+        good = workdir / ("approx.json" if option == "--approx" else "data_good.json")
+        text = json.dumps({**json.loads(good.read_text()), entry: json.loads(value)})
     else:
         prob = rb.build_problem(rb.parse_problem_file(workdir / "problem.ini"))
         m = prob.reference_model().m.tolist()
@@ -293,18 +298,19 @@ def write_input(workdir, option, kind):
     ("invert", "--lambda0", "nan"), ("invert", "--lambda0", "inf"),
     ("invert", "--max-gn", "0"), ("invert", "--lsqr-max-iters", "0"),
     ("invert", "--chi2-target", "nan"), ("invert", "--lsqr-tol", "nan"),
-    ("invert", "--lsqr-tol", "-1"),
+    ("invert", "--lsqr-tol", "-1"), ("invert", "--approx", "poles=1"),
+    ("invert", "--data", "sigma_d=[1.0]"), ("invert", "--data", "seed=[4]"),
 ])
 def test_bad_command_input_is_a_usage_error(workdir, capsys, command, option, value):
     out = workdir / f"bad_{command}.json"
     argv = [command, "--problem", str(workdir / "problem.ini"),
             "--approx", str(workdir / "approx.json")]
-    if option in ("--problem", "--approx", "--data", "--model"):
-        value = write_input(workdir, option, value)
     if command == "invert":
         data = workdir / "data_good.json"
         assert main(["make-data"] + argv[1:] + ["--seed", "4", "--out", str(data)]) == 0
         argv += ["--data", str(data)]
+    if option in ("--problem", "--approx", "--data", "--model"):
+        value = write_input(workdir, option, value)
     capsys.readouterr()
     try:
         code = main(argv + [option, value, "--out", str(out)])

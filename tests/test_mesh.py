@@ -4,6 +4,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 import rbainv as rb
+from rbainv import mesh
 from conftest import in_box, receiver_grid
 
 
@@ -262,6 +263,36 @@ sigma = 0.01
     assert prob.receiver_count == 9
 
 
+def test_simplex_rule_on_a_3d_box():
+    # the private grid, element and interpolation helpers are written for any
+    # d; the Kuhn split of 2x2x2 cubes gives 8 * 3! tetrahedra
+    box = np.array([[0.0, 1.0], [-1.0, 1.0], [2.0, 5.0]])
+    grid = mesh._box_grid(box, [2, 2, 2], "neumann")
+    assert grid.dimension == 3 and grid.cells.shape == (48, 4)
+    p = grid.nodes[grid.cells]
+    E = p[:, 1:] - p[:, :1]
+    assert np.all(np.linalg.det(E) > 0)
+    np.testing.assert_allclose(grid.cell_measure, np.linalg.det(E) / 6.0, rtol=1e-13)
+    assert grid.cell_measure.sum() == pytest.approx(6.0, rel=1e-13)
+
+    mass, stiff = mesh._local_matrices(grid, 2.0)
+    np.testing.assert_allclose(mass.sum(axis=(1, 2)), grid.cell_measure, rtol=1e-13)
+    np.testing.assert_allclose(stiff.sum(axis=2), 0.0, atol=1e-12)
+    # hat gradients from the inverse edge matrix: grad l_1..3 are the columns
+    # of E^-1, and grad l_0 is minus their sum
+    G = np.linalg.inv(E).transpose(0, 2, 1)
+    G = np.concatenate([-G.sum(axis=1, keepdims=True), G], axis=1)
+    want = 2.0 * grid.cell_measure[:, None, None] * (G @ G.transpose(0, 2, 1))
+    np.testing.assert_allclose(stiff, want, rtol=1e-12, atol=1e-12)
+
+    pts = np.random.default_rng(4).uniform(box[:, 0], box[:, 1], size=(50, 3))
+    c, wts = mesh._interp_rows(grid, pts)
+    np.testing.assert_allclose(wts.sum(axis=1), 1.0, rtol=1e-14)
+    assert np.all(wts >= 0)
+    np.testing.assert_allclose(np.einsum("rk,rkj->rj", wts, grid.nodes[grid.cells[c]]), pts,
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_model_version_tag_tracks_content():
     m = rb.Model(np.array([1.0, 2.0]), np.zeros(2))
     same = rb.Model(np.array([1.0, 2.0]), np.zeros(2))
@@ -430,7 +461,7 @@ ORACLE_SPECS = {
         source=rb.SourceSpec(kind="box", center=(0.5,), size=(0.4,))),
     "1d-n10-delta": rb.ProblemSpec(
         dimension=1, extent=(0.0, 1.0), n_cells=(10,),
-        receivers=np.array([[0.35], [0.55], [0.65]]),
+        receivers=np.array([[0.35], [0.55], [0.65], [0.5]]),
         source=rb.SourceSpec(kind="delta", position=(0.53,), amplitude=2.5)),
     # 3x3's boundary cells touch eliminated nodes; its receivers sit on the inner square
     "2d-3x3": _spec_2d((3, 3), receivers=receiver_grid(-20.0, 20.0, 3)),
@@ -472,3 +503,18 @@ def test_build_problem_matches_reference_loops_bit_for_bit(name):
     _assert_same_csr(prob.Q, Q)
     assert np.array_equal(prob.f, f)
     _assert_same_csr(rb.build_reg(prob.grid).R_factor, rb.build_reg(ref_grid).R_factor)
+
+
+def test_mirrored_box_keeps_the_reference_element_bytes():
+    # with x reversed, some stiffness entries are sums of two -0.0 products:
+    # the simplex rule must keep the zero signs of the reference formulas
+    spec = rb.ProblemSpec(dimension=2, extent=(1.0, -0.3, 0.1, 2.0), n_cells=(5, 4),
+                          bc="neumann", kappa=3.0, receivers=np.array([(0.5, 1.0)]),
+                          source=rb.SourceSpec(kind="delta", position=(0.2, 0.7)))
+    prob = rb.build_problem(spec)
+    _, mass, stiff, K, Q, f = reference_problem(spec)
+    assert prob.mass_local.tobytes() == mass.tobytes()
+    assert prob.stiff_local.tobytes() == stiff.tobytes()
+    _assert_same_csr(prob.K, K)
+    _assert_same_csr(prob.Q, Q)
+    assert np.array_equal(prob.f, f)

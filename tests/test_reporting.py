@@ -13,7 +13,7 @@ def synthetic_history(walls, iters):
             nu=nu, phi=1.0, misfit=1.0, reg_value=0.0, chi2=1.0, lam=1.0, eta=1.0,
             accepted=True, lsqr_iters=n, lsqr_istop=1, wall_ms=w,
             factorizations=21, solves=63, phi_evals=1, phi_before=2.0,
-            directional_slope=-1.0))
+            directional_slope=-1.0).as_dict())
     return rows
 
 
