@@ -288,7 +288,10 @@ def build_problem(spec: ProblemSpec) -> Problem:
     if d not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
     counts = [int(n)] * d if np.isscalar(n) else [int(v) for v in n[:d]]
-    grid = _box_grid(np.reshape(spec.extent, (-1, 2))[:d], counts, spec.bc)
+    box = np.reshape(spec.extent, (-1, 2))[:d]
+    if spec.bc == "dirichlet" and not np.all(box[:, 0] < box[:, 1]):  # neumann may mirror
+        raise ValueError(f"dirichlet extent {tuple(spec.extent)} needs lo < hi on every axis")
+    grid = _box_grid(box, counts, spec.bc)
 
     mass_local, stiff_local = _local_matrices(grid, spec.kappa)
     cell_dofs = grid.dof_of_node[grid.cells]

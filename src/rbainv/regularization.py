@@ -6,7 +6,8 @@ giving a graph Laplacian whose edge weights carry the geometry, with no
 extra mesh-size heuristics.  The pure divergence form annihilates
 constants, so a small measure-weighted anchor makes L positive definite
 and enables the Cholesky factor R with R^T R = L used by the augmented
-least-squares system.
+least-squares system.  L is banded in the grid's cell order, so R is
+factored in that band: memory O(P b) for bandwidth b, not O(P^2).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpbtrf
 
 from .mesh import Grid, Model
 
@@ -25,31 +26,23 @@ __all__ = ["RegOperator", "build_reg", "reg_value_grad"]
 
 @dataclass
 class RegOperator:
-    D: sp.csr_matrix            # (P, F) signed incidence, entries +-face measure
-    Mdiv_lumped: np.ndarray     # (F,) lumped face weights
     L: sp.csr_matrix            # (P, P) SPD after anchoring
-    L_div: sp.csr_matrix        # (P, P) unanchored divergence form (PSD)
-    R_factor: sp.csr_matrix     # upper triangular, R^T R = L
+    R_factor: sp.csr_matrix     # upper triangular, R^T R = L, within L's band
     anchor_eps: float
-
-    @property
-    def cell_count(self) -> int:
-        return self.L.shape[0]
 
 
 def build_reg(grid: Grid) -> RegOperator:
-    """Assemble D, the lumped face mass, L and its Cholesky factor.
+    """Assemble L = D diag(1 / mdiv) D^T + anchor and its banded Cholesky factor.
 
-    The lumped weight of a face is the mean measure of its two cells (face
-    measure times mean adjacent-cell thickness), which reduces to
-    inverse-distance edge weights in 1-D.
+    D is the signed cell-face incidence (entries +-face measure).  The lumped
+    weight mdiv of a face is the mean measure of its two cells (face measure
+    times mean adjacent-cell thickness), which reduces to inverse-distance
+    edge weights in 1-D.
     """
     P = grid.cell_count
     F = grid.face_cells.shape[0]
     if F == 0:
         warnings.warn("grid has no interior faces; regularization is anchor-only")
-        D = sp.csr_matrix((P, 0))
-        mdiv = np.empty(0)
         L_div = sp.csr_matrix((P, P))
     else:
         rows = grid.face_cells.ravel()
@@ -62,14 +55,17 @@ def build_reg(grid: Grid) -> RegOperator:
     anchor_eps = 1e-8 * (L_div.diagonal().sum() / P if F else 1.0)
     L = (L_div + anchor_eps * sp.diags(grid.cell_measure)).tocsr()
 
-    # factor in place in a Fortran-ordered copy: one dense P x P transient
-    R_dense, info = dpotrf(L.toarray(order="F"), lower=0, clean=1, overwrite_a=1)
+    # LAPACK upper band storage: ab[u + i - j, j] = L[i, j], factored in place
+    upper = sp.triu(L).tocoo()
+    u = int((upper.col - upper.row).max())
+    ab = np.zeros((u + 1, P), order="F")
+    ab[u + upper.row - upper.col, upper.col] = upper.data
+    cb, info = dpbtrf(ab, lower=0, overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"regularization matrix is not positive definite "
-                                    f"(dpotrf info {info})")
-    R_factor = sp.csr_matrix(R_dense)
-    return RegOperator(D=D, Mdiv_lumped=mdiv, L=L, L_div=L_div,
-                       R_factor=R_factor, anchor_eps=anchor_eps)
+                                    f"(dpbtrf info {info})")
+    R_factor = sp.dia_matrix((cb, np.arange(u, -1, -1)), shape=(P, P)).tocsr()
+    return RegOperator(L=L, R_factor=R_factor, anchor_eps=anchor_eps)
 
 
 def reg_value_grad(reg: RegOperator, model: Model):

@@ -251,6 +251,7 @@ BAD_PROBLEM_EDITS = {
     "dimension 3": ("dimension = 2", "dimension = 3"),
     "short receiver grid": ("grid = -30 30 3 -30 30 3", "grid = -45 45 7"),
     "no domain": ("[domain]", "[dom]"),
+    "inverted extent": ("extent = -60 60 -60 60", "extent = 60 -60 -60 60"),
 }
 
 
@@ -288,7 +289,8 @@ def write_input(workdir, option, kind):
     ("verify", "--model", "inf"), ("make-data", "--model", "short"),
     ("forward", "--model", "missing"), ("verify", "--model", "garbage"),
     ("forward", "--problem", "dimension 3"), ("forward", "--problem", "short receiver grid"),
-    ("forward", "--problem", "no domain"), ("forward", "--problem", "garbage"),
+    ("forward", "--problem", "no domain"), ("forward", "--problem", "inverted extent"),
+    ("forward", "--problem", "garbage"),
     ("forward", "--problem", "missing"), ("forward", "--approx", "missing"),
     ("make-data", "--approx", "{}"), ("verify", "--approx", "garbage"),
     ("invert", "--data", "missing"), ("invert", "--data", "{}"), ("invert", "--data", "garbage"),

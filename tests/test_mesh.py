@@ -198,6 +198,15 @@ def test_degenerate_extent_errors():
         rb.build_problem(spec)
 
 
+@pytest.mark.parametrize("extent,receiver", [((1.0, 0.0), (0.5,)),
+                                             ((60.0, -60.0, -60.0, 60.0), (0.0, 0.0))])
+def test_inverted_extent_names_the_extent(extent, receiver):
+    spec = rb.ProblemSpec(dimension=len(receiver), extent=extent, n_cells=(4,) * len(receiver),
+                          receivers=np.array([receiver]))
+    with pytest.raises(ValueError, match=r"extent .* lo < hi"):
+        rb.build_problem(spec)
+
+
 def test_stiffness_psd_and_neumann_nullspace(small_problem):
     lam = la.eigvalsh(small_problem.K.toarray())
     assert lam[0] > -1e-10

@@ -1,13 +1,24 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
 import rbainv as rb
+from rbainv.mesh import _box_grid
 
 
 @pytest.fixture(scope="module")
 def reg_2d(small_problem):
     return rb.build_reg(small_problem.grid)
+
+
+@pytest.fixture(scope="module")
+def L_div_2d(reg_2d, small_problem):
+    # the unanchored divergence form: L less its measure-weighted anchor
+    return (reg_2d.L - reg_2d.anchor_eps * sp.diags(small_problem.grid.cell_measure)).tocsr()
 
 
 def test_1d_three_equal_cells_hand_computed():
@@ -19,19 +30,18 @@ def test_1d_three_equal_cells_hand_computed():
     w = 1.0
     # D: face measure 1 per interior interface; lumped weight = mean cell width
     D_hand = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
-    np.testing.assert_allclose(reg.D.toarray(), D_hand)
-    np.testing.assert_allclose(reg.Mdiv_lumped, [w, w])
     L_hand = D_hand @ np.diag([1 / w, 1 / w]) @ D_hand.T
-    np.testing.assert_allclose(reg.L_div.toarray(), L_hand, atol=1e-14)
+    L_div = (reg.L - reg.anchor_eps * sp.diags(prob.grid.cell_measure)).toarray()
+    np.testing.assert_allclose(L_div, L_hand, atol=1e-14)
     # graph Laplacian pattern tridiag(-1, 2, -1) on the interior row
-    assert reg.L_div.toarray()[1, 1] == pytest.approx(2.0 / w)
-    assert reg.L_div.toarray()[1, 0] == pytest.approx(-1.0 / w)
+    assert L_div[1, 1] == pytest.approx(2.0 / w)
+    assert L_div[1, 0] == pytest.approx(-1.0 / w)
 
 
-def test_constant_model_annihilated(reg_2d, small_problem):
+def test_constant_model_annihilated(reg_2d, L_div_2d, small_problem):
     P = small_problem.grid.cell_count
     ones = np.ones(P)
-    np.testing.assert_allclose(reg_2d.L_div @ ones, 0.0, atol=1e-10)
+    np.testing.assert_allclose(L_div_2d @ ones, 0.0, atol=1e-10)
     # anchored value stays at the anchor scale
     model = rb.Model(np.full(P, 3.0), np.zeros(P))
     value, _ = rb.reg_value_grad(reg_2d, model)
@@ -39,20 +49,20 @@ def test_constant_model_annihilated(reg_2d, small_problem):
     assert 0.0 <= value <= anchor_bound * (1 + 1e-6)
 
 
-def test_2d_sparsity_matches_cell_adjacency(reg_2d, small_problem):
+def test_2d_sparsity_matches_cell_adjacency(L_div_2d, small_problem):
     grid = small_problem.grid
     adj = set()
     for a, b in grid.face_cells:
         adj.add((int(a), int(b)))
         adj.add((int(b), int(a)))
-    L = reg_2d.L_div.tocoo()
+    L = L_div_2d.tocoo()
     for r, c, v in zip(L.row, L.col, L.data):
         if r != c and abs(v) > 1e-14:
             assert (int(r), int(c)) in adj
 
 
-def test_row_sums_zero_and_offdiag_nonpositive(reg_2d):
-    L = reg_2d.L_div.toarray()
+def test_row_sums_zero_and_offdiag_nonpositive(L_div_2d):
+    L = L_div_2d.toarray()
     np.testing.assert_allclose(L.sum(axis=1), 0.0, atol=1e-10)
     off = L - np.diag(np.diag(L))
     assert np.all(off <= 1e-14)
@@ -69,6 +79,33 @@ def test_cholesky_identity(reg_2d):
     err = np.linalg.norm(R.T @ R - L, "fro") / np.linalg.norm(L, "fro")
     assert err <= 1e-12
     assert np.allclose(R, np.triu(R))
+
+
+def test_banded_factor_past_the_dense_limit():
+    # P = 20,000: a dense factor would take 3.0 GiB; the band takes P (b + 1) doubles
+    grid = _box_grid(np.array([[0.0, 1.0], [0.0, 1.0]]), [100, 100], "dirichlet")
+    P = grid.cell_count
+    tracemalloc.start()
+    try:
+        reg = rb.build_reg(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < P * P * 8 / 10
+    L, R = reg.L.tocoo(), reg.R_factor.tocoo()
+    assert np.all(R.col >= R.row)
+    assert (R.col - R.row).max() <= np.abs(L.col - L.row).max()
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        v = rng.standard_normal(P)
+        Lv = reg.L @ v
+        assert np.linalg.norm(reg.R_factor.T @ (reg.R_factor @ v) - Lv) <= 1e-12 * np.linalg.norm(Lv)
+
+
+def test_indefinite_matrix_raises(small_problem):
+    grid = small_problem.grid
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        rb.build_reg(dataclasses.replace(grid, cell_measure=-grid.cell_measure))
 
 
 def test_value_grad_at_reference(reg_2d, small_problem):
