@@ -37,8 +37,8 @@ def _parse_times(text: str) -> TimeChannels:
 
 
 def _load(option: str, load, path):
-    """``load(path)``, with a missing or malformed file reported as a usage
-    error that names ``option``."""
+    """``load(path)``, with a missing, malformed or unusable path reported
+    as a usage error that names ``option``."""
     try:
         return load(path)
     except KeyError as exc:
@@ -178,15 +178,17 @@ def cmd_invert(args) -> int:
         lsqr=LsqrConfig(tol=args.lsqr_tol, max_iters=args.lsqr_max_iters),
         workers=args.workers,
     )
+    # an unusable run directory fails before the inversion, not after it
+    _load("--out", lambda p: Path(p).mkdir(parents=True, exist_ok=True), args.out)
     state = run_inversion(problem, data, approx, cfg)
-    write_run_artifacts(args.out, state, data, problem, approx, state.d_pred)
+    write_run_artifacts(args.out, state, data, problem, approx)
     print(f"inversion: {state.nu} iterations, chi2={state.chi2:.3f}, "
           f"lambda={state.lam:.3e} ({state.diagnostic})")
     return 0
 
 
 def cmd_report(args) -> int:
-    report = consolidate_report(args.rundir)
+    report = _load("--rundir", consolidate_report, args.rundir)
     out = args.out or str(Path(args.rundir) / "report.json")
     with open(out, "w") as fh:
         json.dump(report.to_json(), fh, indent=1)

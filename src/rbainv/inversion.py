@@ -93,13 +93,13 @@ class IterationRecord:
 class InversionState:
     model: Model
     lam: float
-    nu: int = 0
-    phi: float = np.nan
-    chi2: float = np.nan
-    history: list = field(default_factory=list)
-    diagnostic: str = ""
-    counters: dict = field(default_factory=dict)
-    d_pred: np.ndarray | None = None    # predicted data at ``model``
+    nu: int                             # len(history)
+    phi: float
+    chi2: float
+    history: list
+    diagnostic: str
+    counters: dict
+    d_pred: np.ndarray                  # predicted data at ``model``
 
 
 @dataclass
@@ -111,11 +111,11 @@ class LineSearchResult:
 
 
 def chi_squared(data: DataSet, d_pred: np.ndarray) -> float:
-    """Weighted misfit normalized by the total datum count."""
+    """Weighted misfit normalized by the total datum count: twice the
+    loop's misfit, summed the same way, over ``data.size``."""
     if d_pred.size != data.size:
         raise ValueError("prediction length does not match data")
-    r = data.weights * (d_pred - data.d_obs)
-    return float(r @ r) / data.size
+    return float(np.sum((data.weights * (d_pred - data.d_obs)) ** 2)) / data.size
 
 
 def default_lambda0(problem: Problem, data: DataSet, reg: RegOperator,
@@ -165,7 +165,8 @@ def line_search(phi0: float, directional_slope: float, phi_evaluator) -> LineSea
     """Backtracking Armijo search from eta = 1 with halving down to
     ``ETA_MIN``; after the first rejected step it tries one
     quadratic-interpolation candidate, which must itself satisfy the Armijo
-    inequality."""
+    inequality.  A step is accepted only at the eta evaluated last, so the
+    caller need keep only its latest trial."""
     eta = 1.0
     n_evals = 0
     quad_tried = False
@@ -180,11 +181,10 @@ def line_search(phi0: float, directional_slope: float, phi_evaluator) -> LineSea
             if denom > 0 and directional_slope < 0:
                 eta_q = -directional_slope * eta * eta / denom
                 eta_q = min(max(eta_q, ETA_MIN), 0.9 * eta)
-                if eta_q < eta:
-                    phi_q = phi_evaluator(eta_q)
-                    n_evals += 1
-                    if phi_q <= phi0 + ARMIJO_C1 * eta_q * directional_slope:
-                        return LineSearchResult(eta_q, True, phi_q, n_evals)
+                phi_q = phi_evaluator(eta_q)
+                n_evals += 1
+                if phi_q <= phi0 + ARMIJO_C1 * eta_q * directional_slope:
+                    return LineSearchResult(eta_q, True, phi_q, n_evals)
         eta *= 0.5
     return LineSearchResult(ETA_MIN, False, phi0, n_evals)
 
@@ -192,103 +192,85 @@ def line_search(phi0: float, directional_slope: float, phi_evaluator) -> LineSea
 def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
                   cfg: InversionConfig | None = None) -> InversionState:
     """Full Gauss-Newton loop with cooling; history rows carry everything
-    needed to replay the objective and the Armijo bookkeeping."""
+    needed to replay the objective and the Armijo bookkeeping.  On every
+    exit ``phi == misfit + lam * reg_value`` at the returned model and
+    ``chi2 == chi_squared(data, d_pred)``."""
     cfg = cfg or InversionConfig()
-    with ShiftedFactorCache(cfg.workers) as cache:
-        return _gauss_newton(problem, data, approx, cfg, cache)
-
-
-def _gauss_newton(problem: Problem, data: DataSet, approx: RationalApproximant,
-                  cfg: InversionConfig, cache: ShiftedFactorCache) -> InversionState:
     reg = build_reg(problem.grid)
-    model = problem.reference_model()
     W = data.weights
-    n_data = data.size
+    history: list[IterationRecord] = []
+    with ShiftedFactorCache(cfg.workers) as cache:
 
-    def forward_at(mdl: Model):
-        g = solve_all_poles(problem, mdl, approx, problem.f, cache)
-        d = response_from_pole_solutions(problem, approx, g)
-        mis = 0.5 * float(np.sum((W * (d - data.d_obs)) ** 2))
-        rv, _ = reg_value_grad(reg, mdl)
-        return g, d, mis, rv
+        def forward_at(mdl: Model):
+            g = solve_all_poles(problem, mdl, approx, problem.f, cache)
+            d = response_from_pole_solutions(problem, approx, g)
+            mis = 0.5 * float(np.sum((W * (d - data.d_obs)) ** 2))
+            rv, _ = reg_value_grad(reg, mdl)
+            return mdl, g, d, mis, rv
 
-    g, d_pred, misfit, reg_val = forward_at(model)
-    lam = cfg.lambda0 if cfg.lambda0 is not None else default_lambda0(
-        problem, data, reg, d_pred, model)
-    lam_min = lam * LAMBDA_MIN_FACTOR
-    phi = misfit + lam * reg_val
-    chi2 = 2.0 * misfit / n_data
+        model, g, d_pred, misfit, reg_val = forward_at(problem.reference_model())
+        lam = cfg.lambda0 if cfg.lambda0 is not None else default_lambda0(
+            problem, data, reg, d_pred, model)
+        lam_min = lam * LAMBDA_MIN_FACTOR
+        phi = misfit + lam * reg_val
+        chi2 = chi_squared(data, d_pred)
+        increase_streak = 0
+        diagnostic = "max Gauss-Newton iterations"
 
-    state = InversionState(model=model, lam=lam, phi=phi, chi2=chi2)
-    increase_streak = 0
+        while len(history) < cfg.max_gn and chi2 > cfg.chi2_target:
+            t0 = time.perf_counter()
+            counters0 = cache.counters.snapshot()
 
-    for nu in range(1, cfg.max_gn + 1):
-        if chi2 <= cfg.chi2_target:
-            state.diagnostic = "chi2 target reached"
-            break
-        t0 = time.perf_counter()
-        counters0 = cache.counters.snapshot()
+            opr = JacobianOperator(problem, model, approx, cache, pole_solutions=g)
+            grad = (opr.vjp(W * W * (d_pred - data.d_obs))
+                    + lam * (reg.L @ (model.m - model.m_ref)))
+            dm, lsqr_iters, istop = gn_step(opr, reg, data, d_pred, model, lam, cfg.lsqr)
+            del opr                        # free its contraction blocks before the next one is built
+            slope = float(grad @ dm)
 
-        opr = JacobianOperator(problem, model, approx, cache, pole_solutions=g)
-        residual = d_pred - data.d_obs
-        grad = opr.vjp(W * W * residual) + lam * (reg.L @ (model.m - model.m_ref))
-        dm, lsqr_iters, istop = gn_step(opr, reg, data, d_pred, model, lam, cfg.lsqr)
-        del opr                        # free its contraction blocks before the next one is built
-        slope = float(grad @ dm)
+            trial = None
 
-        evals: dict[float, tuple] = {}
+            def phi_eval(eta: float) -> float:
+                nonlocal trial
+                trial = forward_at(Model(model.m + eta * dm, model.m_ref))
+                return trial[3] + lam * trial[4]
 
-        def phi_eval(eta: float) -> float:
-            trial = Model(model.m + eta * dm, model.m_ref)
-            out = forward_at(trial)
-            evals[eta] = (trial, out)
-            return out[2] + lam * out[3]
+            ls = line_search(phi, slope, phi_eval)
+            if not ls.accepted:
+                # the trials replaced the factors of the model the next operator is built at
+                factorize_all_poles(problem, model, approx, cache)
+            wall_ms = (time.perf_counter() - t0) * 1e3
+            counters1 = cache.counters.snapshot()
 
-        ls = line_search(phi, slope, phi_eval)
-        if not ls.accepted:
-            # the trials replaced the factors of the model the next operator is built at
-            factorize_all_poles(problem, model, approx, cache)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        counters1 = cache.counters.snapshot()
-
-        phi_before = phi
-        if ls.accepted:
-            model, (g, d_pred, misfit, reg_val) = evals[ls.eta]
-            state.model = model
-            new_phi = misfit + lam * reg_val
-            chi2 = 2.0 * misfit / n_data
-            increase_streak = increase_streak + 1 if new_phi > phi else 0
-            rel_decrease = (phi - new_phi) / max(abs(phi), 1e-300)
-            phi = new_phi
-        else:
+            phi_before = phi
             rel_decrease = 0.0
+            if ls.accepted:
+                model, g, d_pred, misfit, reg_val = trial
+                phi = misfit + lam * reg_val
+                chi2 = chi_squared(data, d_pred)
+                increase_streak = increase_streak + 1 if phi > phi_before else 0
+                rel_decrease = (phi_before - phi) / max(abs(phi_before), 1e-300)
 
-        state.history.append(IterationRecord(
-            nu=nu, phi=phi, misfit=misfit, reg_value=reg_val, chi2=chi2, lam=lam,
-            eta=ls.eta if ls.accepted else 0.0, accepted=ls.accepted,
-            lsqr_iters=lsqr_iters, lsqr_istop=istop, wall_ms=wall_ms,
-            factorizations=counters1["factorizations"] - counters0["factorizations"],
-            solves=counters1["solves"] - counters0["solves"],
-            phi_evals=ls.n_evals, phi_before=phi_before, directional_slope=slope))
-        state.nu, state.phi, state.chi2, state.lam = nu, phi, chi2, lam
+            history.append(IterationRecord(
+                nu=len(history) + 1, phi=phi, misfit=misfit, reg_value=reg_val, chi2=chi2,
+                lam=lam, eta=ls.eta if ls.accepted else 0.0, accepted=ls.accepted,
+                lsqr_iters=lsqr_iters, lsqr_istop=istop, wall_ms=wall_ms,
+                factorizations=counters1["factorizations"] - counters0["factorizations"],
+                solves=counters1["solves"] - counters0["solves"],
+                phi_evals=ls.n_evals, phi_before=phi_before, directional_slope=slope))
 
-        if increase_streak >= 3:
-            state.diagnostic = "divergence guard: objective rose on 3 consecutive accepted steps"
-            break
-        if not ls.accepted or rel_decrease < COOLING_TOL:
-            lam *= 0.5
-            if lam < lam_min:
-                state.diagnostic = "lambda floor reached"
-                state.lam = lam
+            if increase_streak >= 3:
+                diagnostic = "divergence guard: objective rose on 3 consecutive accepted steps"
                 break
-            phi = misfit + lam * reg_val
-            state.lam = lam
-            state.phi = phi
-    else:
-        state.diagnostic = state.diagnostic or "max Gauss-Newton iterations"
+            if not ls.accepted or rel_decrease < COOLING_TOL:
+                lam *= 0.5
+                phi = misfit + lam * reg_val
+                if lam < lam_min:
+                    diagnostic = "lambda floor reached"
+                    break
 
-    if chi2 <= cfg.chi2_target:
-        state.diagnostic = "chi2 target reached"
-    state.d_pred = d_pred
-    state.counters.update(cache.counters.snapshot())
-    return state
+        if chi2 <= cfg.chi2_target:
+            diagnostic = "chi2 target reached"
+        return InversionState(model=model, lam=lam, nu=len(history), phi=phi, chi2=chi2,
+                              history=history, diagnostic=diagnostic,
+                              counters=cache.counters.snapshot(), d_pred=d_pred)

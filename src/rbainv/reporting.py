@@ -141,9 +141,9 @@ def _state_doc(state: InversionState) -> dict:
 
 
 def write_run_artifacts(rundir, state: InversionState, data: DataSet,
-                        problem: Problem, approx: RationalApproximant,
-                        d_pred: np.ndarray) -> None:
-    """Persist state.json plus the plot-ready CSV exports for one run.
+                        problem: Problem, approx: RationalApproximant) -> None:
+    """Persist state.json plus the plot-ready CSV exports for one run, with
+    the predicted data ``state.d_pred``.
 
     residual_heatmap.csv has one row per time channel and one column per
     receiver holding the weighted residuals; transients.csv is long-format
@@ -163,6 +163,7 @@ def write_run_artifacts(rundir, state: InversionState, data: DataSet,
 
     K_t = approx.channels.count
     M_r = problem.receiver_count
+    d_pred = state.d_pred
     wres = (data.weights * (d_pred - data.d_obs)).reshape(K_t, M_r)
     with open(out / "residual_heatmap.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -180,12 +181,21 @@ def write_run_artifacts(rundir, state: InversionState, data: DataSet,
                 writer.writerow([r, approx.channels.times[j], obs[j, r], pred[j, r]])
 
 
+def _is_history_row(row) -> bool:
+    return isinstance(row, dict) and all(
+        type(row.get(k)) in (int, float) for k in ("lsqr_iters", "wall_ms"))
+
+
 def consolidate_report(rundir) -> RunReport:
-    """Build the consolidated report from a rundir written by an inversion."""
-    out = Path(rundir)
-    with open(out / "state.json") as fh:
+    """Build the consolidated report from a rundir written by an inversion.
+    Raises ValueError when ``state.json`` holds no ``history`` list of rows
+    with numeric ``lsqr_iters`` and ``wall_ms``."""
+    with open(Path(rundir) / "state.json") as fh:
         state_doc = json.load(fh)
-    history = state_doc["history"]
+    history = state_doc.get("history") if isinstance(state_doc, dict) else None
+    if not (isinstance(history, list) and all(map(_is_history_row, history))):
+        raise ValueError('state.json entry "history": expected a list of objects with numeric '
+                         '"lsqr_iters" and "wall_ms"')
     timing = None
     if len(history) >= 3:
         timing = fit_timing_model(history)

@@ -10,6 +10,7 @@ import pytest
 
 import rbainv as rb
 from conftest import assert_freed_where_made
+from rbainv import cli
 from rbainv.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -90,6 +91,37 @@ def test_make_data_and_invert_and_report(workdir):
     assert rc == 0
     report = json.loads((rundir / "report.json").read_text())
     assert "iterations" in report and "counters" in report
+
+
+@pytest.mark.parametrize("state_json", [None, "{", '{"history": 3}'],
+                         ids=["missing", "not json", "history 3"])
+def test_bad_report_rundir_is_a_usage_error(tmp_path, capsys, state_json):
+    rundir = tmp_path / "run"
+    if state_json is not None:
+        rundir.mkdir()
+        (rundir / "state.json").write_text(state_json)
+    capsys.readouterr()
+    assert main(["report", "--rundir", str(rundir)]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "error: argument --rundir:" in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_unusable_invert_out_fails_before_the_inversion(workdir, capsys, monkeypatch, out):
+    data = workdir / "data_out.json"
+    assert main(["make-data", "--problem", str(workdir / "problem.ini"),
+                 "--approx", str(workdir / "approx.json"), "--out", str(data)]) == 0
+    (workdir / "file").write_text("not a directory")
+    monkeypatch.setattr(cli, "run_inversion", lambda *args: pytest.fail("inversion ran"))
+    capsys.readouterr()
+    assert main(["invert", "--problem", str(workdir / "problem.ini"), "--data", str(data),
+                 "--approx", str(workdir / "approx.json"), "--out", str(workdir / out)]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "error: argument --out:" in errors[0]
+    assert "Traceback" not in err
 
 
 def test_verify_subcommand(workdir):

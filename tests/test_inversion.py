@@ -122,13 +122,18 @@ def test_line_search_rejects_ascent():
 def test_line_search_quadratic_candidate_gated_by_armijo():
     # steep rise after a shallow valley: the quadratic candidate lands inside
     # and must pass the Armijo test itself
+    calls = []
+
     def phi(eta):
+        calls.append(eta)
         return 1.0 - 2.0 * eta + 10.0 * eta ** 2
 
     result = rb.line_search(1.0, -2.0, phi)
     assert result.accepted
     assert result.phi <= 1.0 + 1e-4 * result.eta * (-2.0)
     assert 0 < result.eta < 1.0
+    # the loop keeps only the latest trial, so acceptance is at the last eta evaluated
+    assert result.eta == calls[-1]
 
 
 def test_line_search_eta_floor_respected():
@@ -214,13 +219,10 @@ def test_gradient_identity_finite_differences(tiny_setup):
     assert abs(fd - grad @ v) / abs(fd) <= 1e-4
 
 
-def test_divergence_guard_aborts(tiny_setup, monkeypatch):
-    prob, ap, data = tiny_setup
-    P = prob.grid.cell_count
-
-    # force a fixed uphill update and unconditional acceptance of eta = 1
+def force_divergence(monkeypatch):
+    """A fixed uphill update of every cell, accepted at eta = 1."""
     def bad_lsqr(opr, reg, data_, d_pred, model, lam, lsqr_cfg):
-        return np.full(P, 2.0), 1, 1
+        return np.full(model.cell_count, 2.0), 1, 1
 
     def always_accept(phi0, slope, evaluator):
         phi = evaluator(1.0)
@@ -228,6 +230,18 @@ def test_divergence_guard_aborts(tiny_setup, monkeypatch):
 
     monkeypatch.setattr(inv_mod, "gn_step", bad_lsqr)
     monkeypatch.setattr(inv_mod, "line_search", always_accept)
+
+
+def force_lambda_floor(monkeypatch):
+    """A cooling tolerance so large every iteration cools; the floor two
+    halvings below the start."""
+    monkeypatch.setattr(inv_mod, "COOLING_TOL", 10.0)
+    monkeypatch.setattr(inv_mod, "LAMBDA_MIN_FACTOR", 0.2)
+
+
+def test_divergence_guard_aborts(tiny_setup, monkeypatch):
+    prob, ap, data = tiny_setup
+    force_divergence(monkeypatch)
     state = rb.run_inversion(prob, data, ap, rb.InversionConfig(lambda0=1.0, max_gn=20))
     assert "divergence guard" in state.diagnostic
     assert len(state.history) <= 6
@@ -235,14 +249,11 @@ def test_divergence_guard_aborts(tiny_setup, monkeypatch):
 
 def test_lambda_floor_stops(tiny_setup, monkeypatch):
     prob, ap, data = tiny_setup
-    # a cooling tolerance so large every iteration cools; floor two halvings below start
-    monkeypatch.setattr(inv_mod, "COOLING_TOL", 10.0)
-    monkeypatch.setattr(inv_mod, "LAMBDA_MIN_FACTOR", 0.2)
+    force_lambda_floor(monkeypatch)
     cfg = rb.InversionConfig(lambda0=64.0, chi2_target=1e-12, max_gn=30)
     state = rb.run_inversion(prob, data, ap, cfg)
-    assert state.diagnostic in ("lambda floor reached", "chi2 target reached")
-    if state.diagnostic == "lambda floor reached":
-        assert state.lam < 64.0 * 0.2
+    assert state.diagnostic == "lambda floor reached"
+    assert state.lam < 64.0 * 0.2
 
 
 def test_default_lambda0_formula(tiny_setup):
@@ -311,17 +322,34 @@ def test_accepted_path_counter_laws(tiny_setup):
     assert_counter_laws(state, ap.pole_count)
 
 
+FORCE_EXIT = {
+    "lambda floor reached": force_lambda_floor,
+    "divergence guard: objective rose on 3 consecutive accepted steps": force_divergence,
+}
+
+
 @pytest.mark.parametrize("cfg,diagnostic", [
     (rb.InversionConfig(lambda0=50.0, max_gn=6), "max Gauss-Newton iterations"),
     (rb.InversionConfig(lambda0=50.0, chi2_target=5.0), "chi2 target reached"),
+    (rb.InversionConfig(lambda0=64.0, chi2_target=1e-12), "lambda floor reached"),
+    (rb.InversionConfig(lambda0=1.0, max_gn=20),
+     "divergence guard: objective rose on 3 consecutive accepted steps"),
 ])
-def test_returned_prediction_is_final_models(tiny_setup, cfg, diagnostic):
+def test_returned_prediction_is_final_models(tiny_setup, monkeypatch, cfg, diagnostic):
     prob, ap, data = tiny_setup
+    if diagnostic in FORCE_EXIT:
+        FORCE_EXIT[diagnostic](monkeypatch)
     state = rb.run_inversion(prob, data, ap, cfg)
     assert state.diagnostic == diagnostic
     assert state.history and state.history[-1].accepted
     np.testing.assert_array_equal(
         state.d_pred, rb.forward_response(prob, state.model, ap, rb.ShiftedFactorCache()))
+    # the returned state is one iterate: its count, chi^2 and (phi, lambda) pairing
+    assert state.nu == len(state.history)
+    assert state.chi2 == rb.chi_squared(data, state.d_pred)
+    misfit = 0.5 * float(np.sum((data.weights * (state.d_pred - data.d_obs)) ** 2))
+    reg_value, _ = rb.reg_value_grad(rb.build_reg(prob.grid), state.model)
+    assert state.phi == misfit + state.lam * reg_value
 
 
 def test_back_to_back_inversions_leave_no_threads(tiny_setup):

@@ -69,9 +69,9 @@ def test_pole_solution_checksum_sensitivity():
 
 
 def test_write_and_consolidate_run_artifacts(tmp_path, tiny_inversion):
-    prob, ap, data, state, d_pred = tiny_inversion
+    prob, ap, data, state = tiny_inversion
     rundir = tmp_path / "run"
-    rb.write_run_artifacts(rundir, state, data, prob, ap, d_pred)
+    rb.write_run_artifacts(rundir, state, data, prob, ap)
     assert sorted(p.name for p in rundir.iterdir()) == [
         "convergence.csv", "residual_heatmap.csv", "state.json", "transients.csv"]
 
@@ -84,7 +84,7 @@ def test_write_and_consolidate_run_artifacts(tmp_path, tiny_inversion):
 
     heat = np.genfromtxt(rundir / "residual_heatmap.csv", delimiter=",", skip_header=1)
     assert heat.shape == (ap.channels.count, prob.receiver_count + 1)
-    wres = data.weights * (d_pred - data.d_obs)
+    wres = data.weights * (state.d_pred - data.d_obs)
     np.testing.assert_allclose(heat[:, 1:].ravel(), wres, rtol=1e-6)
 
     trans = np.genfromtxt(rundir / "transients.csv", delimiter=",", skip_header=1)
@@ -112,6 +112,4 @@ def tiny_inversion():
                             rb.FitConfig(grid_size=200))
     data = rb.make_dataset(prob, prob.true_model(), ap, rb.NoiseSpec(eps_r=0.03, seed=2))
     state = rb.run_inversion(prob, data, ap, rb.InversionConfig(lambda0=20.0, max_gn=6))
-    g = rb.solve_all_poles(prob, state.model, ap, prob.f, rb.ShiftedFactorCache())
-    d_pred = rb.response_from_pole_solutions(prob, ap, g)
-    return prob, ap, data, state, d_pred
+    return prob, ap, data, state
