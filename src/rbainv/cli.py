@@ -48,6 +48,17 @@ def _load(option: str, load, path):
         raise UsageError(f"argument {option}: {path}: {reason}") from None
 
 
+def _make_out_parent(path) -> None:
+    """Make the directory that will hold the ``--out`` file before the
+    command's work, so that an unusable path fails first, as a usage error."""
+    def make(p):
+        Path(p).parent.mkdir(parents=True, exist_ok=True)
+        if Path(p).is_dir():
+            raise IsADirectoryError("is a directory")
+
+    _load("--out", make, path)
+
+
 def _load_problem(path):
     return _load("--problem", lambda p: build_problem(parse_problem_file(p)), path)
 
@@ -73,6 +84,7 @@ def cmd_fit_rba(args) -> int:
     if not args.xmin < args.xmax < np.inf:
         raise UsageError(f"argument --xmax: expected a finite number > --xmin "
                          f"({args.xmin:g}), got {args.xmax:g}")
+    _make_out_parent(args.out)
     cfg = FitConfig(max_iters=args.max_iters)
     with PoleWorkerPool(args.workers) as pool:
         approx = fit_common_pole(args.times_log10, (args.xmin, args.xmax), args.poles,
@@ -90,6 +102,7 @@ def cmd_forward(args) -> int:
     problem = _load_problem(args.problem)
     model = _load_model(problem, args.model)
     approx = _load("--approx", load_approximant, args.approx)
+    _make_out_parent(args.out)
     with ShiftedFactorCache(args.workers) as cache:
         data = forward_response(problem, model, approx, cache)
     doc = {
@@ -109,6 +122,7 @@ def cmd_verify(args) -> int:
     problem = _load_problem(args.problem)
     model = _load_model(problem, args.model)
     approx = _load("--approx", load_approximant, args.approx)
+    _make_out_parent(args.out)
 
     rng = np.random.default_rng(args.seed)
     direction = rng.standard_normal(problem.grid.cell_count)
@@ -120,7 +134,6 @@ def cmd_verify(args) -> int:
         mismatch = adjoint_test(opr, trials=args.trials, seed=args.seed)
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "taylor": {
             "h": taylor.h_values.tolist(),
@@ -148,6 +161,7 @@ def cmd_make_data(args) -> int:
     model = _load_model(problem, args.model or "true")
     approx = _load("--approx", load_approximant, args.approx)
     noise = NoiseSpec(eps_r=args.eps_r, eps_a=args.eps_a, seed=args.seed)
+    _make_out_parent(args.out)
     data = make_dataset(problem, model, approx, noise)
     save_dataset(data, args.out)
     print(f"dataset: {data.size} data, eps_r={data.eps_r}, eps_a={data.eps_a:.3e}, "
@@ -188,6 +202,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.out is not None:
+        _make_out_parent(args.out)
     report = _load("--rundir", consolidate_report, args.rundir)
     out = args.out or str(Path(args.rundir) / "report.json")
     with open(out, "w") as fh:
@@ -205,6 +221,7 @@ def cmd_bench_scaling(args) -> int:
     problem = _load_problem(args.problem)
     model = _load_model(problem, args.model)
     approx = _load("--approx", load_approximant, args.approx)
+    _make_out_parent(args.out)
     rows = scaling_benchmark(problem, model, approx, args.workers)
     with open(args.out, "w") as fh:
         json.dump(rows, fh, indent=1)

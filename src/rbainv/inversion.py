@@ -45,8 +45,10 @@ __all__ = [
 ARMIJO_C1 = 1e-4
 # smallest step length the line search tries
 ETA_MIN = 2.0 ** -6
-# relative decrease of phi below which lambda is halved
-COOLING_TOL = 1e-3
+# relative decrease of phi below which lambda is halved.  Near the target
+# the first step at a new lambda gains 1-3% of phi and later ones far less,
+# so a level ends after one or two steps, not after a near-stalled one
+COOLING_TOL = 3e-2
 # the loop stops once lambda falls below this fraction of its starting value
 LAMBDA_MIN_FACTOR = 2.0 ** -20
 

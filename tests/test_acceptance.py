@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 import rbainv as rb
+from rbainv.inversion import COOLING_TOL
 from conftest import in_box
 from oracles import dense_expm_oracle, dense_jacobian, pole_fields
 
@@ -208,6 +209,30 @@ def test_criterion_7_end_to_end_inversion(inv_problem, inversion_run):
             f"contrast {cond:+.3f} log10 (>= +0.5), resistive {res:+.3f} (<= -0.1), "
             f"pins [{PINNED_CHI2:.3f}, {PINNED_COND_CONTRAST:+.3f}, "
             f"{PINNED_RES_CONTRAST:+.3f}], {elapsed:.1f}s (limit 900s)")
+
+
+def test_cooling_replays_from_the_history(inversion_run):
+    # lambda halves after a rejected step or an accepted one whose relative
+    # decrease of phi is below COOLING_TOL, and stays put otherwise
+    state, _ = inversion_run
+    halvings = 0
+    for row, after in zip(state.history, state.history[1:] + [state]):
+        cools = (not row.accepted
+                 or (row.phi_before - row.phi) / abs(row.phi_before) < COOLING_TOL)
+        assert after.lam == (0.5 * row.lam if cools else row.lam)
+        halvings += cools
+    assert 0 < halvings < len(state.history)
+
+
+def test_criterion_7_reaches_the_target_with_iterations_to_spare(inv_problem, inv_approx):
+    # noise seed 101 needs the most iterations of the benchmark's seeds
+    # 1234, 101 and 7: the target, not the cap, must end its run
+    data = rb.make_dataset(inv_problem, inv_problem.true_model(), inv_approx,
+                           rb.NoiseSpec(eps_r=0.03, seed=101))
+    state = rb.run_inversion(inv_problem, data, inv_approx,
+                             rb.InversionConfig(lambda0=100.0, chi2_target=1.0,
+                                                max_gn=30, workers=2))
+    assert state.chi2 <= 1.0 and state.nu < 30, (state.chi2, state.nu)
 
 
 def test_criterion_8_parallel_determinism(inv_problem, inv_approx,

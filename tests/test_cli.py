@@ -124,6 +124,57 @@ def test_unusable_invert_out_fails_before_the_inversion(workdir, capsys, monkeyp
     assert "Traceback" not in err
 
 
+# the commands that write one --out file, and the library call doing each one's work
+OUT_FILE_WORK = {
+    "fit-rba": "fit_common_pole",
+    "forward": "forward_response",
+    "verify": "taylor_test",
+    "make-data": "make_dataset",
+    "report": "consolidate_report",
+    "bench-scaling": "scaling_benchmark",
+}
+
+
+def out_file_command(workdir, command):
+    """``command``'s arguments, all but --out."""
+    if command == "fit-rba":
+        return fit_args(workdir)
+    inputs = ["--problem", str(workdir / "problem.ini"), "--approx", str(workdir / "approx.json")]
+    if command == "report":
+        rundir = workdir / "run_one_iteration"
+        if not (rundir / "state.json").exists():
+            data = workdir / "data_one_iteration.json"
+            assert main(["make-data", *inputs, "--out", str(data)]) == 0
+            assert main(["invert", *inputs, "--data", str(data), "--max-gn", "1",
+                         "--out", str(rundir)]) == 0
+        return ["report", "--rundir", str(rundir)]
+    if command == "bench-scaling":
+        inputs += ["--workers", "1"]
+    return [command, *inputs]
+
+
+@pytest.mark.parametrize("command", OUT_FILE_WORK)
+def test_out_file_in_a_new_directory(workdir, command):
+    out = workdir / "new" / command / "out.json"
+    assert main(out_file_command(workdir, command) + ["--out", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("out", ["file/x.json", "directory"])
+@pytest.mark.parametrize("command", OUT_FILE_WORK)
+def test_unusable_out_file_fails_before_the_work(workdir, capsys, monkeypatch, command, out):
+    argv = out_file_command(workdir, command)
+    (workdir / "file").write_text("not a directory")
+    (workdir / "directory").mkdir(exist_ok=True)
+    monkeypatch.setattr(cli, OUT_FILE_WORK[command], lambda *a, **k: pytest.fail("work ran"))
+    capsys.readouterr()
+    assert main(argv + ["--out", str(workdir / out)]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "error: argument --out:" in errors[0]
+    assert "Traceback" not in err
+
+
 def test_verify_subcommand(workdir):
     out = workdir / "verify.json"
     rc = main(["verify", "--problem", str(workdir / "problem.ini"),
