@@ -1,8 +1,7 @@
 """Batch command line interface.
 
-Subcommands: fit-rba, forward, verify, make-data, invert, report,
-bench-scaling.  All outputs are JSON/CSV; plotting is left to external
-tooling.
+Subcommands: fit-rba, forward, verify, make-data, invert, report.
+All outputs are JSON/CSV; plotting is left to external tooling.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from . import (FitConfig, InversionConfig, LsqrConfig, Model, NoiseSpec,
                build_problem, consolidate_report, default_worker_count,
                fit_common_pole, forward_response, JacobianOperator,
                load_approximant, load_dataset, make_dataset, parse_problem_file,
-               run_inversion, save_approximant, save_dataset, scaling_benchmark,
-               taylor_test, write_run_artifacts)
+               run_inversion, save_approximant, save_dataset, taylor_test,
+               write_run_artifacts)
 from .pool import parse_worker_count
 
 
@@ -217,23 +216,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_bench_scaling(args) -> int:
-    problem = _load_problem(args.problem)
-    model = _load_model(problem, args.model)
-    approx = _load("--approx", load_approximant, args.approx)
-    _make_out_parent(args.out)
-    rows = scaling_benchmark(problem, model, approx, args.workers)
-    with open(args.out, "w") as fh:
-        json.dump(rows, fh, indent=1)
-    for row in rows:
-        print(f"W={row['workers']}: factorize {row['factorize_ms']:.1f} ms, "
-              f"solve {row['solve_ms']:.1f} ms, jvp+vjp {row['jacobian_ms']:.1f} ms, "
-              f"efficiency {row['efficiency']:.2f}")
-    checksums = {row["checksum"] for row in rows}
-    print("pole solutions identical across worker counts:", len(checksums) == 1)
-    return 0
-
-
 WORKERS_HELP = "thread workers (default: $RBAINV_WORKERS, else 1)"
 
 
@@ -242,11 +224,6 @@ def _worker_count(text: str) -> int:
         return parse_worker_count(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _worker_counts(text: str) -> list[int]:
-    """'1,2,4' -> [1, 2, 4]; every entry parsed as a worker count."""
-    return [_worker_count(w) for w in text.split(",")]
 
 
 def _checked(parse, ok, expected: str):
@@ -332,14 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("bench-scaling", help="pole-parallel scaling table")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--model", default=None)
-    p.add_argument("--approx", required=True)
-    p.add_argument("--workers", type=_worker_counts, default="1,2,4,8",
-                   help="comma-separated worker counts")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench_scaling)
     return parser
 
 

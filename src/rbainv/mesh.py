@@ -446,6 +446,9 @@ def parse_problem_file(path) -> ProblemSpec:
                                   for a, b, n in np.reshape(vals, (-1, 3))])
         elif "positions" in rc:
             receivers = np.reshape(_parse_floats(rc["positions"]), (-1, dimension))
+    if len(receivers) == 0:
+        raise ValueError("[receivers] needs a grid or positions with at least one "
+                         "receiver point")
 
     source = SourceSpec()
     if cp.has_section("source"):

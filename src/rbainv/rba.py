@@ -41,6 +41,8 @@ POLE_TOL = 1e-8
 COLLISION_TOL = 1e-10
 # the fit stops after this many iterations without a better iterate
 STALL_ITERS = 10
+# `grid_size` of the samples on which fits measure their error
+VALIDATION_GRID_SIZE = 2001
 
 
 class PoleCollisionError(RuntimeError):
@@ -141,23 +143,26 @@ def _check_collisions(poles: np.ndarray, tol: float) -> None:
             f"pole pair closer than {tol:g} relative (min distance {np.min(d):.3e})")
 
 
-def _sample_grid(interval, t_min: float, grid_size: int) -> np.ndarray:
-    """Sorted sample points inside the spectral interval, endpoints included:
-    ``grid_size`` linear points through the fast-decay region ``x <= 1/t_min``
-    plus ``grid_size`` log-spaced points out to the end of the interval.
+def _samples(interval, times: np.ndarray, grid_size: int):
+    """Sample points ``x`` and the targets ``F[j] = exp(-times[j] * x)``;
+    returns ``(x, F)`` with F of shape (K_t, G).
 
-    Grids with sizes n and k*(n-1)+1 nest, so the observed maximum of a
-    fixed approximant's error is monotone under refinement.
+    The points are sorted and lie inside the spectral interval, endpoints
+    included: ``grid_size`` linear points through the fast-decay region
+    ``x <= 1/times[0]`` plus ``grid_size`` log-spaced points out to the end
+    of the interval.  Grids with sizes n and k*(n-1)+1 nest, so the observed
+    maximum of a fixed approximant's error is monotone under refinement.
     """
     x_min, x_max = interval
-    lin_hi = min(1.0 / t_min, x_max)
+    lin_hi = min(1.0 / times[0], x_max)
     parts = [np.array([x_min, x_max])]
     if lin_hi > x_min:
         parts.append(np.linspace(x_min, lin_hi, grid_size))
     log_lo = max(x_min, 1e-3 * lin_hi)
     if log_lo > 0 and x_max > log_lo:
         parts.append(np.geomspace(log_lo, x_max, grid_size))
-    return np.unique(np.concatenate(parts))
+    x = np.unique(np.concatenate(parts))
+    return x, np.exp(-np.outer(times, x))
 
 
 def _pair_basis(x: np.ndarray, poles: np.ndarray) -> np.ndarray:
@@ -294,10 +299,8 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         raise ValueError("need pole_count >= 1 and 0 <= x_min < x_max")
 
     m = pole_count
-    x = _sample_grid((x_min, x_max), times[0], cfg.grid_size)
-    F = np.exp(-np.outer(times, x))        # (K_t, G)
-    x_val = _sample_grid((x_min, x_max), times[0], 2001)
-    F_val = np.exp(-np.outer(times, x_val))
+    x, F = _samples((x_min, x_max), times, cfg.grid_size)
+    x_val, F_val = _samples((x_min, x_max), times, VALIDATION_GRID_SIZE)
 
     poles = _initial_poles(times, m)
     history = []
@@ -360,10 +363,9 @@ def refit_residues(approx: RationalApproximant, channels: TimeChannels,
     if channels.count == 0:
         raise ValueError("channels must be nonempty")
     interval, times = approx.spectral_interval, channels.times
-    x = _sample_grid(interval, times[0], cfg.grid_size)
-    x_val = _sample_grid(interval, times[0], 2001)
-    err, alpha = _residues_and_error(x, np.exp(-np.outer(times, x)), x_val,
-                                     np.exp(-np.outer(times, x_val)), approx.poles)
+    err, alpha = _residues_and_error(*_samples(interval, times, cfg.grid_size),
+                                     *_samples(interval, times, VALIDATION_GRID_SIZE),
+                                     approx.poles)
     return RationalApproximant(poles=approx.poles, residues=alpha,
                                spectral_interval=interval,
                                fit_error=float(err), channels=channels)
@@ -376,8 +378,7 @@ def validate_fit(approx: RationalApproximant, grid_size: int) -> FitReport:
     K = approx.channels.count
     if K == 0:
         return FitReport(0.0, np.empty(0), 0)
-    x = _sample_grid(approx.spectral_interval, approx.channels.times[0], grid_size)
-    target = np.exp(-np.outer(approx.channels.times, x))   # (K, G)
+    x, target = _samples(approx.spectral_interval, approx.channels.times, grid_size)
     got = approx.eval(x).T
     abs_err = np.abs(got - target)
     return FitReport(

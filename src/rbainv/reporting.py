@@ -1,35 +1,26 @@
-"""Run reports, timing model fits, scaling benchmarks and rundir exports."""
+"""Run reports, timing model fits and rundir exports."""
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
-import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .inversion import InversionState, IterationRecord
-from .mesh import Model, Problem
+from .mesh import Problem
 from .rba import RationalApproximant
-from .sensitivity import JacobianOperator
-from .shifted import ShiftedFactorCache, factorize_all_poles, solve_all_poles
 from .synthetic import DataSet
 
 __all__ = [
     "TimingModel",
     "RunReport",
     "fit_timing_model",
-    "scaling_benchmark",
-    "pole_solution_checksum",
     "write_run_artifacts",
     "consolidate_report",
 ]
-
-# solve-all passes per worker count in `scaling_benchmark`
-SOLVE_REPEATS = 4
 
 
 @dataclass
@@ -78,52 +69,6 @@ def fit_timing_model(history) -> TimingModel:
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
     return TimingModel(intercept=float(intercept), slope=float(slope),
                        r_squared=r2, defined=True)
-
-
-def pole_solution_checksum(g: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(g).tobytes()).hexdigest()
-
-
-def scaling_benchmark(problem: Problem, model: Model, approx: RationalApproximant,
-                      worker_counts) -> list[dict]:
-    """Time the factorize-all and solve-all phases per worker count, and
-    one `jvp` plus one `vjp` of the Jacobian at ``model`` (``jacobian_ms``).
-
-    The solve phase solves every pole against the source vector
-    ``problem.f`` ``SOLVE_REPEATS`` times and reports the mean.  Values
-    (checksummed pole solutions) are bit-identical across worker counts;
-    timings are host-dependent and reported as measured.
-    """
-    rows = []
-    t1_total = None
-    for w in worker_counts:
-        with ShiftedFactorCache(w) as cache:
-            t0 = time.perf_counter()
-            factorize_all_poles(problem, model, approx, cache)
-            t_fact = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            for _ in range(SOLVE_REPEATS):
-                g = solve_all_poles(problem, model, approx, problem.f, cache)
-            t_solve = (time.perf_counter() - t0) / SOLVE_REPEATS
-
-            opr = JacobianOperator(problem, model, approx, cache)
-            t0 = time.perf_counter()
-            opr.vjp(opr.jvp(np.ones(opr.shape[1])))
-            t_jac = time.perf_counter() - t0
-
-        total = t_fact + t_solve
-        if t1_total is None:
-            t1_total = total
-        rows.append({
-            "workers": int(w),
-            "factorize_ms": t_fact * 1e3,
-            "solve_ms": t_solve * 1e3,
-            "jacobian_ms": t_jac * 1e3,
-            "efficiency": t1_total / (w * total) if total > 0 else np.nan,
-            "checksum": pole_solution_checksum(g),
-        })
-    return rows
 
 
 def _state_doc(state: InversionState) -> dict:

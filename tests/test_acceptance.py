@@ -239,11 +239,11 @@ def test_criterion_8_parallel_determinism(inv_problem, inv_approx,
                                           small_problem, small_approx):
     t0 = time.perf_counter()
     model = inv_problem.true_model()
-    checksums = []
+    solutions = []
     for W in (1, 2, 4, 8):
         with rb.ShiftedFactorCache(W) as cache:
             g = rb.solve_all_poles(inv_problem, model, inv_approx, inv_problem.f, cache)
-        checksums.append(rb.pole_solution_checksum(g))
+        solutions.append(g.tobytes())
 
     data = rb.make_dataset(small_problem, small_problem.true_model(), small_approx,
                            rb.NoiseSpec(eps_r=0.03, seed=5))
@@ -253,10 +253,10 @@ def test_criterion_8_parallel_determinism(inv_problem, inv_approx,
                               rb.InversionConfig(lambda0=100.0, max_gn=6, workers=W))
         models.append(st.model.m)
     elapsed = time.perf_counter() - t0
-    ok = (len(set(checksums)) == 1
+    ok = (len(set(solutions)) == 1
           and all(np.array_equal(models[0], mm) for mm in models[1:]))
     _report(8, ok and elapsed < 300.0,
-            f"pole-solution checksums identical over W in {{1,2,4,8}} and inverted "
+            f"pole solutions bit-identical over W in {{1,2,4,8}} and inverted "
             f"models bit-identical, {elapsed:.1f}s (limit 300s)")
 
 

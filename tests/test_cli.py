@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -131,7 +132,6 @@ OUT_FILE_WORK = {
     "verify": "taylor_test",
     "make-data": "make_dataset",
     "report": "consolidate_report",
-    "bench-scaling": "scaling_benchmark",
 }
 
 
@@ -148,8 +148,6 @@ def out_file_command(workdir, command):
             assert main(["invert", *inputs, "--data", str(data), "--max-gn", "1",
                          "--out", str(rundir)]) == 0
         return ["report", "--rundir", str(rundir)]
-    if command == "bench-scaling":
-        inputs += ["--workers", "1"]
     return [command, *inputs]
 
 
@@ -188,15 +186,15 @@ def test_verify_subcommand(workdir):
     assert out.with_suffix(".csv").exists()
 
 
-def test_bench_scaling_subcommand(workdir):
-    out = workdir / "scaling.json"
-    rc = main(["bench-scaling", "--problem", str(workdir / "problem.ini"),
-               "--approx", str(workdir / "approx.json"),
-               "--workers", "1,2", "--out", str(out)])
-    assert rc == 0
-    rows = json.loads(out.read_text())
-    assert [r["workers"] for r in rows] == [1, 2]
-    assert len({r["checksum"] for r in rows}) == 1
+def test_docs_name_exactly_the_parser_subcommands():
+    doc = re.search(r"Subcommands:(.*?)\.\s", cli.__doc__, re.S).group(1)
+    documented = {name.strip() for name in doc.split(",")}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme, re.S | re.M)
+    invoked = set(re.findall(r"^rbainv (\S+)", "".join(blocks), re.M))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert documented == invoked == set(sub.choices)
 
 
 @pytest.mark.parametrize("W", [2, 3, 4])
@@ -298,19 +296,6 @@ def test_bad_fit_rba_input_is_a_usage_error(workdir, capsys, option, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["0", "1,x"])
-def test_bad_bench_scaling_workers_is_a_usage_error(workdir, capsys, value):
-    out = workdir / "scaling_bad.json"
-    with pytest.raises(SystemExit) as exc:
-        main(["bench-scaling", "--problem", str(workdir / "problem.ini"),
-              "--approx", str(workdir / "approx.json"),
-              "--workers", value, "--out", str(out)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--workers" in err and "Traceback" not in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("field,message", [("times", "times"), ("receivers", "receivers")])
 def test_invert_rejects_mismatched_inputs(workdir, capsys, field, message):
     problem = rb.build_problem(rb.parse_problem_file(workdir / "problem.ini"))
@@ -335,6 +320,7 @@ BAD_PROBLEM_EDITS = {
     "short receiver grid": ("grid = -30 30 3 -30 30 3", "grid = -45 45 7"),
     "no domain": ("[domain]", "[dom]"),
     "inverted extent": ("extent = -60 60 -60 60", "extent = 60 -60 -60 60"),
+    "no receivers": ("[receivers]\ngrid = -30 30 3 -30 30 3", ""),
 }
 
 
@@ -373,6 +359,7 @@ def write_input(workdir, option, kind):
     ("forward", "--model", "missing"), ("verify", "--model", "garbage"),
     ("forward", "--problem", "dimension 3"), ("forward", "--problem", "short receiver grid"),
     ("forward", "--problem", "no domain"), ("forward", "--problem", "inverted extent"),
+    ("verify", "--problem", "no receivers"), ("make-data", "--problem", "no receivers"),
     ("forward", "--problem", "garbage"),
     ("forward", "--problem", "missing"), ("forward", "--approx", "missing"),
     ("make-data", "--approx", "{}"), ("verify", "--approx", "garbage"),

@@ -272,6 +272,16 @@ sigma = 0.01
     assert prob.receiver_count == 9
 
 
+@pytest.mark.parametrize("receivers", ["", "[receivers]\n", "[receivers]\ngrid = 0 1 0\n",
+                                       "[receivers]\npositions =\n"],
+                         ids=["no section", "empty section", "zero-count grid", "no positions"])
+def test_problem_file_without_receivers_rejected(tmp_path, receivers):
+    path = tmp_path / "problem.ini"
+    path.write_text("[domain]\ndimension = 1\nextent = 0 1\ncells = 4\n" + receivers)
+    with pytest.raises(ValueError, match=r"\[receivers\]"):
+        rb.parse_problem_file(path)
+
+
 def test_simplex_rule_on_a_3d_box():
     # the private grid, element and interpolation helpers are written for any
     # d; the Kuhn split of 2x2x2 cubes gives 8 * 3! tetrahedra

@@ -44,30 +44,6 @@ def test_timing_model_accepts_dict_rows():
     assert model.slope == pytest.approx(2.0)
 
 
-def test_scaling_benchmark(small_problem, small_approx):
-    model = small_problem.true_model()
-    rows = rb.scaling_benchmark(small_problem, model, small_approx, [1, 2, 4])
-    assert rows[0]["workers"] == 1
-    assert rows[0]["efficiency"] == pytest.approx(1.0)
-    checksums = {r["checksum"] for r in rows}
-    assert len(checksums) == 1
-    for r in rows:
-        assert r["factorize_ms"] > 0 and r["solve_ms"] > 0 and r["jacobian_ms"] > 0
-
-
-def test_scaling_benchmark_rejects_worker_count_below_one(small_problem, small_approx):
-    with pytest.raises(ValueError, match="worker count"):
-        rb.scaling_benchmark(small_problem, small_problem.true_model(), small_approx, [0])
-
-
-def test_pole_solution_checksum_sensitivity():
-    g = np.ones((3, 4), complex)
-    h = g.copy()
-    h[2, 3] += 1e-15
-    assert rb.pole_solution_checksum(g) == rb.pole_solution_checksum(g.copy())
-    assert rb.pole_solution_checksum(g) != rb.pole_solution_checksum(h)
-
-
 def test_write_and_consolidate_run_artifacts(tmp_path, tiny_inversion):
     prob, ap, data, state = tiny_inversion
     rundir = tmp_path / "run"
