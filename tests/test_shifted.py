@@ -192,6 +192,25 @@ def test_inversion_frees_every_factor_on_the_thread_that_made_it(
 
 
 @pytest.mark.parametrize("W", [2, 3, 4])
+def test_scaling_benchmark_frees_every_factor_on_the_thread_that_made_it(
+        small_problem, small_approx, factor_threads, W):
+    # the sequence a scaling measurement runs at 1 and W workers: factorize
+    # every pole, solve every pole, then one J v and one J^T w from an
+    # operator that solves for its own pole solutions
+    model = small_problem.true_model()
+    solutions = []
+    for w in (1, W):
+        with rb.ShiftedFactorCache(w) as cache:
+            rb.factorize_all_poles(small_problem, model, small_approx, cache)
+            g = rb.solve_all_poles(small_problem, model, small_approx, small_problem.f, cache)
+            opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
+            opr.vjp(opr.jvp(np.ones(opr.shape[1])))
+        solutions.append(g.tobytes())
+    assert solutions[0] == solutions[1]
+    assert_freed_where_made(factor_threads)
+
+
+@pytest.mark.parametrize("W", [2, 3, 4])
 def test_closing_a_cache_frees_the_factors_functions_made_with_it(
         small_problem, small_approx, factor_threads, W):
     model = small_problem.true_model()
@@ -199,9 +218,6 @@ def test_closing_a_cache_frees_the_factors_functions_made_with_it(
         rb.make_dataset(small_problem, model, small_approx, rb.NoiseSpec(seed=1), cache)
         rb.taylor_test(small_problem, model, small_approx, np.ones(small_problem.grid.cell_count),
                        10.0 ** -np.arange(1, 6), cache)
-        # an operator that solves for its own pole solutions
-        opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
-        opr.vjp(opr.jvp(np.ones(opr.shape[1])))
     assert_freed_where_made(factor_threads)
 
 
