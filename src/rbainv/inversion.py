@@ -207,10 +207,9 @@ def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
             g = solve_all_poles(problem, mdl, approx, problem.f, cache)
             d = response_from_pole_solutions(problem, approx, g)
             mis = 0.5 * float(np.sum((W * (d - data.d_obs)) ** 2))
-            rv, _ = reg_value_grad(reg, mdl)
-            return mdl, g, d, mis, rv
+            return (mdl, g, d, mis, *reg_value_grad(reg, mdl))
 
-        model, g, d_pred, misfit, reg_val = forward_at(problem.reference_model())
+        model, g, d_pred, misfit, reg_val, reg_grad = forward_at(problem.reference_model())
         lam = cfg.lambda0 if cfg.lambda0 is not None else default_lambda0(
             problem, data, reg, d_pred, model)
         lam_min = lam * LAMBDA_MIN_FACTOR
@@ -224,8 +223,7 @@ def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
             counters0 = cache.counters.snapshot()
 
             opr = JacobianOperator(problem, model, approx, cache, pole_solutions=g)
-            grad = (opr.vjp(W * W * (d_pred - data.d_obs))
-                    + lam * (reg.L @ (model.m - model.m_ref)))
+            grad = opr.vjp(W * W * (d_pred - data.d_obs)) + lam * reg_grad
             dm, lsqr_iters, istop = gn_step(opr, reg, data, d_pred, model, lam, cfg.lsqr)
             del opr                        # free its contraction blocks before the next one is built
             slope = float(grad @ dm)
@@ -247,7 +245,7 @@ def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
             phi_before = phi
             rel_decrease = 0.0
             if ls.accepted:
-                model, g, d_pred, misfit, reg_val = trial
+                model, g, d_pred, misfit, reg_val, reg_grad = trial
                 phi = misfit + lam * reg_val
                 chi2 = chi_squared(data, d_pred)
                 increase_streak = increase_streak + 1 if phi > phi_before else 0

@@ -305,6 +305,8 @@ def build_problem(spec: ProblemSpec) -> Problem:
                       shape=(N, N)).tocsr()
 
     receivers = np.atleast_2d(np.asarray(spec.receivers, dtype=float))
+    if receivers.size == 0:
+        raise ValueError("[receivers] needs a grid or positions with at least one receiver point")
     c, wts = _interp_rows(grid, receivers)
     dofs = cell_dofs[c]
     on_boundary = np.any((dofs < 0) & (wts > 1e-12), axis=1)
@@ -446,9 +448,6 @@ def parse_problem_file(path) -> ProblemSpec:
                                   for a, b, n in np.reshape(vals, (-1, 3))])
         elif "positions" in rc:
             receivers = np.reshape(_parse_floats(rc["positions"]), (-1, dimension))
-    if len(receivers) == 0:
-        raise ValueError("[receivers] needs a grid or positions with at least one "
-                         "receiver point")
 
     source = SourceSpec()
     if cp.has_section("source"):

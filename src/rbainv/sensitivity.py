@@ -22,7 +22,7 @@ import numpy as np
 from .forward import response_from_pole_solutions
 from .mesh import Model, Problem, dM_transpose_blocks
 from .rba import RationalApproximant
-from .shifted import ShiftedFactorCache, solve_all_poles
+from .shifted import ShiftedFactorCache, factor_key, solve_all_poles
 
 __all__ = [
     "JacobianOperator",
@@ -41,7 +41,7 @@ class JacobianOperator:
     CSC transpose), that worker's solves, and one product with Q.  The
     per-pole terms are summed on the calling thread in pole order, so the
     output is bit-identical for any worker count.  Instances are read-only
-    once built and must be rebuilt after a model update.
+    once built, and raise once the cache holds another `factor_key`.
     """
 
     def __init__(self, problem: Problem, model: Model, approx: RationalApproximant,
@@ -50,7 +50,7 @@ class JacobianOperator:
         self.model = model
         self.approx = approx
         self.cache = cache
-        self.model_tag = model.version_tag()
+        self.key = factor_key(problem, model, approx)
         if pole_solutions is None:
             pole_solutions = solve_all_poles(problem, model, approx, problem.f, cache)
         self.g = pole_solutions
@@ -63,8 +63,8 @@ class JacobianOperator:
             min(stride, approx.pole_count))
 
     def _check_current(self):
-        if self.cache.current_tag != self.model_tag:
-            raise RuntimeError("cache has moved to another model version; rebuild the operator")
+        if not self.cache.holds(self.key):
+            raise RuntimeError("cache holds another problem, model or poles; rebuild the operator")
 
     def _map_workers(self, work) -> list:
         """Run ``work(p, poles)`` once per worker; returns per-pole results in
@@ -161,7 +161,6 @@ def taylor_test(problem: Problem, model: Model, approx: RationalApproximant,
         d = response_from_pole_solutions(problem, approx, g)
         e0[k] = np.linalg.norm(d - d0)
         e1[k] = np.linalg.norm(d - d0 - h * jd)
-    cache.activate(model.version_tag())
 
     floor = 100 * np.finfo(float).eps * max(np.linalg.norm(d0), 1e-300)
     used = (e0 > floor) & (e1 > floor)

@@ -1,10 +1,11 @@
 """Factorization cache and pole-parallel solves of A_i(m) = K - xi_i * M(m).
 
-Every pole gets its own complex direct factorization, cached per model
-version so forward responses, Jacobian actions and adjoint actions all
-reuse the same factors.  Each cache owns the pole workers that make, use
-and free its factors; workers own disjoint pole subsets and never share
-mutable state, so results are bit-identical for any worker count.
+Every pole gets its own complex direct factorization.  A cache holds one
+factor set under one key (problem, model version, poles), which forward
+responses, Jacobian actions and adjoint actions all reuse; one cache may
+serve several problems and approximants.  Each cache owns the pole workers
+that make, use and free its factors; workers own disjoint pole subsets and
+never share mutable state, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
 
 
 class CacheMissError(KeyError):
-    """No factorization cached for the requested pole and model version."""
+    """No current factorization for the requested pole."""
 
 
 class SolveError(RuntimeError):
@@ -64,52 +65,51 @@ class CacheCounters:
 
 
 class ShiftedFactorCache:
-    """One factorization of A_i(m) per pole, tagged with its model version.
+    """One factorization of A_i(m) per pole, all made for one `factor_key`.
 
-    The cache owns ``workers`` pole workers (`pool`), and every function
-    that solves with it runs on them.  SuperLU frees a factor only on the
-    thread that made it; a factor whose last reference goes on another
-    thread is never freed.  So every factor is dropped on the worker that
-    owns its pole: `activate` only moves the current tag, `factorize` frees
-    a pole's stale factor on that pole's worker before making the next, and
-    `close` drops every factor on its worker before stopping the workers.
-    A one-worker cache runs on the calling thread and needs no `close`.
-    Counter updates are locked so pole workers can run concurrently.
+    ``key`` is None while `factorize_all_poles` remakes the factors and
+    after `close`, and no factor is current then.  The cache owns
+    ``workers`` pole workers (`pool`) that every function solving with it
+    runs on.  SuperLU frees a factor only on the thread that made it, so
+    `factorize` frees a pole's stale factor on the pole's worker before
+    making the next, and `close` drops every factor on its worker before
+    stopping the workers; a one-worker cache needs no `close`.  Counter
+    updates are locked so pole workers can run concurrently.
     """
 
     def __init__(self, workers: int = 1):
-        self.entries: dict[int, tuple[str | None, _Factor]] = {}
+        self.factors: dict[int, _Factor] = {}
+        self.key: tuple | None = None
         self.counters = CacheCounters()
-        self.current_tag: str | None = None
         self.pool = PoleWorkerPool(workers)
         self._lock = threading.Lock()
 
-    def activate(self, tag: str) -> None:
-        self.current_tag = tag
+    def holds(self, key: tuple) -> bool:
+        """Whether the current factors were made for ``key``, a `factor_key`."""
+        return self.key is not None and self.key[0] is key[0] and self.key[1:] == key[1:]
 
     def has(self, i: int, tag: str | None = None) -> bool:
-        entry = self.entries.get(i)
-        return entry is not None and entry[0] == (tag or self.current_tag)
+        """Whether pole i has a current factor, at model version ``tag`` if given."""
+        return self.key is not None and i in self.factors and tag in (None, self.key[1])
 
     def factorize(self, i: int, A: sp.spmatrix) -> None:
-        if self.has(i):
-            return
-        self.entries.pop(i, None)      # free the stale factor before making the next
+        self.factors.pop(i, None)      # free the stale factor before making the next
         factor = _Factor(A)
         with self._lock:
-            self.entries[i] = (self.current_tag, factor)
+            self.factors[i] = factor
             self.counters.factorizations += 1
 
     def close(self) -> None:
         """Drop every factor on the worker that made it, then stop the
         workers; a later call starts new ones."""
-        entries = self.entries
+        self.key = None
+        factors = self.factors
 
         def drop(i: int) -> None:      # returns nothing: the factor must not reach this thread
-            entries.pop(i, None)
+            factors.pop(i, None)
 
-        if entries:
-            self.pool.map_poles(drop, max(entries) + 1)
+        if factors:
+            self.pool.map_poles(drop, max(factors) + 1)
         self.pool.close()
 
     def __enter__(self) -> "ShiftedFactorCache":
@@ -118,44 +118,47 @@ class ShiftedFactorCache:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _factor(self, i: int) -> _Factor:
-        if not self.has(i):
-            raise CacheMissError(f"no factorization for pole {i}, model {self.current_tag}")
-        return self.entries[i][1]
-
     def solve(self, i: int, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        out = self._factor(i).solve(np.asarray(rhs, dtype=complex), trans=trans)
+        if not self.has(i):
+            raise CacheMissError(f"no current factorization for pole {i}")
+        out = self.factors[i].solve(np.asarray(rhs, dtype=complex), trans=trans)
         with self._lock:
             self.counters.solves += 1
         return out
 
 
+def factor_key(problem: Problem, model: Model, approx: RationalApproximant) -> tuple:
+    """The problem by identity, its model version and the poles by value."""
+    return problem, model.version_tag(), approx.poles.tobytes()
+
+
 def factorize_all_poles(problem: Problem, model: Model, approx: RationalApproximant,
                         cache: ShiftedFactorCache) -> None:
-    """Ensure every A_i = K - xi_i M(m) is factorized for the current model.
-
-    Maps over every pole, not only the missing ones, so that pole i is
-    (re)factorized on the worker that owns it and made its stale factor.
-    """
-    cache.activate(model.version_tag())
-    if all(cache.has(i) for i in range(approx.pole_count)):
+    """Factorize every A_i = K - xi_i M(m) unless the cache holds them; each
+    stale factor, poles past ``approx``'s too, is freed on its maker."""
+    key = factor_key(problem, model, approx)
+    if cache.holds(key):
         return
+    cache.key = None
     M = assemble_M(problem, model).astype(complex).tocsc()
     K = problem.K.astype(complex).tocsc()
 
     def work(i: int):
-        if not cache.has(i):
+        if i < approx.pole_count:
             cache.factorize(i, K - approx.poles[i] * M)
+        else:
+            cache.factors.pop(i)
 
-    cache.pool.map_poles(work, approx.pole_count)
+    cache.pool.map_poles(work, max([approx.pole_count - 1, *cache.factors]) + 1)
+    cache.key = key
 
 
 def solve_all_poles(problem: Problem, model: Model, approx: RationalApproximant,
                     rhs: np.ndarray, cache: ShiftedFactorCache) -> np.ndarray:
     """Solve A_i g_i = rhs for every pole; returns (m, N) complex array.
 
-    Factorizes on demand, reusing any factors already cached for this model
-    version.
+    Factorizes on demand, reusing the cache's factors when it holds this
+    problem, model version and poles.
     """
     factorize_all_poles(problem, model, approx, cache)
     return np.array(cache.pool.map_poles(lambda i: cache.solve(i, rhs), approx.pole_count))

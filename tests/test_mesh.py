@@ -279,7 +279,13 @@ def test_problem_file_without_receivers_rejected(tmp_path, receivers):
     path = tmp_path / "problem.ini"
     path.write_text("[domain]\ndimension = 1\nextent = 0 1\ncells = 4\n" + receivers)
     with pytest.raises(ValueError, match=r"\[receivers\]"):
-        rb.parse_problem_file(path)
+        rb.build_problem(rb.parse_problem_file(path))
+
+
+@pytest.mark.parametrize("receivers", [np.zeros((0, 2)), np.array([])], ids=["(0, 2)", "flat"])
+def test_spec_without_receivers_rejected(receivers):
+    with pytest.raises(ValueError, match=r"\[receivers\]"):
+        rb.build_problem(rb.ProblemSpec(n_cells=(4, 4), receivers=receivers))
 
 
 def test_simplex_rule_on_a_3d_box():

@@ -214,9 +214,26 @@ def test_stale_operator_rejected(small_problem, small_approx):
     cache = rb.ShiftedFactorCache()
     model = small_problem.true_model()
     opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
-    cache.activate("someone-else")
+    rb.factorize_all_poles(small_problem, model.perturbed(np.ones(model.cell_count), 0.1),
+                           small_approx, cache)
     with pytest.raises(RuntimeError):
         opr.jvp(np.ones(opr.shape[1]))
+    # back at the operator's model, the factors are current again
+    rb.factorize_all_poles(small_problem, model, small_approx, cache)
+    np.testing.assert_array_equal(opr.jvp(np.ones(opr.shape[1])),
+                                  rb.JacobianOperator(small_problem, model, small_approx,
+                                                      cache).jvp(np.ones(opr.shape[1])))
+
+
+def test_operator_stale_after_other_poles_at_its_model(small_problem, small_approx):
+    cache = rb.ShiftedFactorCache()
+    model = small_problem.true_model()
+    opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
+    other = rb.fit_common_pole(small_approx.channels, small_approx.spectral_interval, 12,
+                               rb.FitConfig(grid_size=500))
+    rb.forward_response(small_problem, model, other, cache)
+    with pytest.raises(RuntimeError):
+        opr.vjp(np.ones(opr.shape[0]))
 
 
 def test_taylor_slopes(small_problem, small_approx):

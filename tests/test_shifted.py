@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import inspect
 import weakref
 
@@ -103,21 +105,54 @@ def test_resolve_conjugated_rhs(small_problem, small_approx):
 
 def test_cache_miss_raises(small_problem, small_approx):
     cache = rb.ShiftedFactorCache()
-    cache.activate(small_problem.reference_model().version_tag())
     with pytest.raises(CacheMissError):
         cache.solve(0, np.zeros(small_problem.dof_count, complex))
+    # a fewer-pole approximant at another model leaves no factor for the rest
+    m0 = small_problem.reference_model()
+    rb.factorize_all_poles(small_problem, m0, small_approx, cache)
+    fewer = tiny_approx(small_approx.poles[:3])
+    rb.factorize_all_poles(small_problem, rb.Model(m0.m + 0.1, m0.m_ref), fewer, cache)
+    assert sorted(cache.factors) == [0, 1, 2]
+    with pytest.raises(CacheMissError):
+        cache.solve(3, np.zeros(small_problem.dof_count, complex))
 
 
 def test_model_version_invalidates_entries(small_problem, small_approx):
     cache = rb.ShiftedFactorCache()
     m0 = small_problem.reference_model()
     rb.factorize_all_poles(small_problem, m0, small_approx, cache)
-    assert cache.has(0)
+    assert cache.has(0) and cache.has(0, m0.version_tag())
     m1 = rb.Model(m0.m + 0.1, m0.m_ref)
-    cache.activate(m1.version_tag())
-    assert not cache.has(0)
-    with pytest.raises(CacheMissError):
-        cache.solve(0, np.zeros(small_problem.dof_count, complex))
+    rb.factorize_all_poles(small_problem, m1, small_approx, cache)
+    assert not any(cache.has(i, m0.version_tag()) for i in range(small_approx.pole_count))
+    assert all(cache.has(i, m1.version_tag()) for i in range(small_approx.pole_count))
+    assert cache.counters.factorizations == 2 * small_approx.pole_count
+
+
+@pytest.mark.parametrize("first_poles", [8, 16])
+def test_shared_cache_refactorizes_for_other_poles(small_problem, small_approx, first_poles):
+    # the same model, channels and interval, fitted with first_poles and then 12 poles
+    model = small_problem.true_model()
+    fit = functools.partial(rb.fit_common_pole, small_approx.channels,
+                            small_approx.spectral_interval, fit_cfg=rb.FitConfig(grid_size=500))
+    first = small_approx if first_poles == 16 else fit(first_poles)
+    second = fit(12)
+    shared = rb.ShiftedFactorCache()
+    rb.forward_response(small_problem, model, first, shared)
+    got = rb.forward_response(small_problem, model, second, shared)
+    np.testing.assert_array_equal(
+        got, rb.forward_response(small_problem, model, second, rb.ShiftedFactorCache()))
+
+
+def test_shared_cache_refactorizes_for_another_problem(small_problem, small_approx):
+    # one 8x8 grid and one model, two stiffness scales
+    stiffer = rb.build_problem(dataclasses.replace(small_problem.spec, kappa=3e5))
+    model = small_problem.reference_model()
+    shared = rb.ShiftedFactorCache()
+    rb.forward_response(small_problem, model, small_approx, shared)
+    got = rb.forward_response(stiffer, model, small_approx, shared)
+    np.testing.assert_array_equal(
+        got, rb.forward_response(stiffer, model, small_approx, rb.ShiftedFactorCache()))
 
 
 def test_worker_count_invariance(small_problem, small_approx):
@@ -232,7 +267,17 @@ def test_refactorization_replaces_stale_factor_on_its_owner(small_problem, small
             assert sum(freed is None for _, freed in factor_threads) == small_approx.pole_count
     assert len(factor_threads) == 3 * small_approx.pole_count
     assert_freed_where_made(factor_threads)
-    assert cache.entries == {}
+    assert cache.factors == {}
+
+
+def test_fewer_poles_free_the_rest_on_their_owners(small_problem, small_approx, factor_threads):
+    model = small_problem.true_model()
+    with rb.ShiftedFactorCache(3) as cache:
+        rb.factorize_all_poles(small_problem, model, small_approx, cache)
+        rb.factorize_all_poles(small_problem, model, tiny_approx(small_approx.poles[:5]), cache)
+        assert sorted(cache.factors) == list(range(5))
+        assert sum(freed is None for _, freed in factor_threads) == 5
+    assert_freed_where_made(factor_threads)
 
 
 def test_closed_cache_restarts_with_identical_solutions(small_problem, small_approx,
@@ -240,7 +285,7 @@ def test_closed_cache_restarts_with_identical_solutions(small_problem, small_app
     model = small_problem.true_model()
     with rb.ShiftedFactorCache(3) as cache:
         first = rb.solve_all_poles(small_problem, model, small_approx, small_problem.f, cache)
-    assert cache.entries == {}
+    assert cache.factors == {}
     with cache:
         second = rb.solve_all_poles(small_problem, model, small_approx, small_problem.f, cache)
     assert cache.counters.factorizations == 2 * small_approx.pole_count
