@@ -17,8 +17,8 @@ from .rba import (FitConfig, FitReport, PoleCollisionError, RationalApproximant,
                   TimeChannels, fit_common_pole, load_approximant, refit_residues,
                   save_approximant, validate_fit)
 from .regularization import RegOperator, build_reg, reg_value_grad
-from .reporting import (RunReport, TimingModel, consolidate_report,
-                        fit_timing_model, write_run_artifacts)
+from .reporting import (TimingModel, consolidate_report, fit_timing_model,
+                        write_run_artifacts)
 from .sensitivity import JacobianOperator, TaylorReport, adjoint_test, taylor_test
 from .shifted import (CacheMissError, PoleWorkerPool, ShiftedFactorCache,
                       SolveError, default_worker_count, factorize_all_poles,

@@ -22,6 +22,7 @@ from . import (FitConfig, InversionConfig, LsqrConfig, Model, NoiseSpec,
                run_inversion, save_approximant, save_dataset, taylor_test,
                write_run_artifacts)
 from .pool import parse_worker_count
+from .rba import json_entry
 
 
 class UsageError(Exception):
@@ -63,19 +64,13 @@ def _load_problem(path):
 
 
 def _load_model(problem, path: str | None) -> Model:
-    if path is None:
-        return problem.reference_model()
     if path == "true":
         return problem.true_model()
-    doc = _load("--model", lambda p: json.loads(Path(p).read_text()), path)
     ref = problem.reference_model()
-    try:
-        m = np.asarray(doc["m"], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        m = None
-    if m is None or m.shape != ref.m.shape or not np.all(np.isfinite(m)):
-        raise UsageError(f"argument --model: expected a JSON object whose \"m\" is a list "
-                         f"of {ref.m.size} finite numbers, one per cell")
+    if path is None:
+        return ref
+    m = _load("--model", lambda p: json_entry(json.loads(Path(p).read_text()), "m", ref.m.shape),
+              path)
     return Model(m, ref.m_ref)
 
 
@@ -128,9 +123,10 @@ def cmd_verify(args) -> int:
     direction /= np.max(np.abs(direction))
     h_values = 10.0 ** np.arange(-1, -6, -1, dtype=float)
     with ShiftedFactorCache(args.workers) as cache:
-        taylor = taylor_test(problem, model, approx, direction, h_values, cache)
         opr = JacobianOperator(problem, model, approx, cache)
+        # before the Taylor trials, which replace the operator's factors
         mismatch = adjoint_test(opr, trials=args.trials, seed=args.seed)
+        taylor = taylor_test(opr, direction, h_values)
 
     out = Path(args.out)
     doc = {
@@ -206,11 +202,12 @@ def cmd_report(args) -> int:
     report = _load("--rundir", consolidate_report, args.rundir)
     out = args.out or str(Path(args.rundir) / "report.json")
     with open(out, "w") as fh:
-        json.dump(report.to_json(), fh, indent=1)
-    if report.timing is not None and report.timing.defined:
-        print(f"timing model: {report.timing.intercept:.1f} ms + "
-              f"{report.timing.slope:.2f} ms/LSQR iteration "
-              f"(R^2={report.timing.r_squared:.3f})")
+        json.dump(report, fh, indent=1)
+    timing = report.get("timing_model", {"defined": False})
+    if timing["defined"]:
+        print(f"timing model: {timing['intercept_ms']:.1f} ms + "
+              f"{timing['ms_per_lsqr_iteration']:.2f} ms/LSQR iteration "
+              f"(R^2={timing['r_squared']:.3f})")
     else:
         print("timing model: undefined (too few or degenerate iterations)")
     return 0

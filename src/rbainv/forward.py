@@ -15,18 +15,26 @@ from .shifted import ShiftedFactorCache, solve_all_poles
 
 __all__ = [
     "forward_response",
+    "pole_sum",
     "response_from_pole_solutions",
 ]
+
+
+def pole_sum(terms, shape) -> np.ndarray:
+    """2 Re of the sum of ``terms``, complex arrays of ``shape`` given in
+    ascending pole order, added in that order onto zeros (so -0.0 sums to +0.0)."""
+    out = np.zeros(shape)
+    for term in terms:
+        out += 2.0 * np.real(term)
+    return out
 
 
 def response_from_pole_solutions(problem: Problem, approx: RationalApproximant,
                                  g: np.ndarray) -> np.ndarray:
     """Combine pole solutions into the data vector, stacked channel-major."""
-    res = approx.residues                     # (m, K_t)
-    D = np.zeros((approx.channels.count, problem.receiver_count))
-    for i in range(approx.pole_count):
-        D += 2.0 * np.real(np.outer(res[i], problem.Q @ g[i]))
-    return D.ravel()
+    return pole_sum((np.outer(approx.residues[i], problem.Q @ g[i])
+                     for i in range(approx.pole_count)),
+                    (approx.channels.count, problem.receiver_count)).ravel()
 
 
 def forward_response(problem: Problem, model: Model, approx: RationalApproximant,

@@ -82,9 +82,6 @@ class Model:
     def cell_count(self) -> int:
         return self.m.size
 
-    def sigma(self) -> np.ndarray:
-        return np.exp(self.m)
-
     def version_tag(self) -> str:
         return hashlib.sha1(self.m.tobytes()).hexdigest()[:16]
 
@@ -166,9 +163,14 @@ class Problem:
         return Model(m, ref.m_ref)
 
 
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
 def _in_box(points: np.ndarray, box) -> np.ndarray:
     """Points inside a closed box given as a (lo, hi) pair per axis."""
-    box = np.asarray(box, dtype=float).reshape(-1, 2)[: points.shape[1]]
+    box = np.asarray(box, dtype=float).reshape(-1, 2)
     return np.all((points >= box[:, 0]) & (points <= box[:, 1]), axis=1)
 
 
@@ -278,17 +280,45 @@ def _interp_rows(grid: Grid, points: np.ndarray):
     return c, lam / lam.sum(axis=1, keepdims=True)
 
 
+def _finite(values) -> np.ndarray:
+    """``values`` as a flat float array, empty unless every entry is a finite number."""
+    try:
+        a = np.ravel(np.asarray(values, dtype=float))
+    except (TypeError, ValueError):
+        return np.empty(0)
+    return a if np.all(np.isfinite(a)) else np.empty(0)
+
+
+def _check_spec(spec: ProblemSpec) -> None:
+    """Check the domain and anomaly fields, naming the problem-file section of
+    a bad one; `build_problem` checks the receivers and `build_source` the source."""
+    d = spec.dimension
+    _require(d in (1, 2), f"[domain] dimension must be 1 or 2, got {d}")
+    _require(_finite(spec.extent).size == 2 * d, f"[domain] extent needs {2 * d} finite numbers")
+    cells = _finite(spec.n_cells)
+    _require(cells.size == d and np.all((cells >= 1) & (cells % 1 == 0)),
+             f"[domain] cells needs {d} positive whole numbers")
+    for name, x in [("kappa", spec.kappa), ("sigma_background", spec.sigma_background)]:
+        _require(_finite(x).size == 1 and x > 0, f"[domain] {name} must be a finite number > 0")
+    _require(spec.bc in ("dirichlet", "neumann"),
+             f"[domain] bc must be dirichlet or neumann, got {spec.bc!r}")
+    for a in spec.anomalies:
+        _require(_finite(a.box).size == 2 * d,
+                 f"[anomaly.{a.name}] box needs {2 * d} finite numbers")
+        _require(_finite(a.sigma).size == 1 and a.sigma > 0,
+                 f"[anomaly.{a.name}] sigma must be a finite number > 0")
+
+
 def build_problem(spec: ProblemSpec) -> Problem:
     """Assemble K, Q, f and the per-cell mass structure for one spec.
 
     Homogeneous Dirichlet boundaries are handled by eliminating boundary
     DOFs; a 'neumann' bc keeps every node (K then annihilates constants).
     """
-    d, n = spec.dimension, spec.n_cells
-    if d not in (1, 2):
-        raise ValueError("dimension must be 1 or 2")
-    counts = [int(n)] * d if np.isscalar(n) else [int(v) for v in n[:d]]
-    box = np.reshape(spec.extent, (-1, 2))[:d]
+    _check_spec(spec)
+    d = spec.dimension
+    counts = [int(n) for n in spec.n_cells]
+    box = np.reshape(spec.extent, (d, 2))
     if spec.bc == "dirichlet" and not np.all(box[:, 0] < box[:, 1]):  # neumann may mirror
         raise ValueError(f"dirichlet extent {tuple(spec.extent)} needs lo < hi on every axis")
     grid = _box_grid(box, counts, spec.bc)
@@ -307,6 +337,8 @@ def build_problem(spec: ProblemSpec) -> Problem:
     receivers = np.atleast_2d(np.asarray(spec.receivers, dtype=float))
     if receivers.size == 0:
         raise ValueError("[receivers] needs a grid or positions with at least one receiver point")
+    _require(receivers.shape[1] == d,
+             f"[receivers] points need {d} coordinates, got {receivers.shape[1]}")
     c, wts = _interp_rows(grid, receivers)
     dofs = cell_dofs[c]
     on_boundary = np.any((dofs < 0) & (wts > 1e-12), axis=1)
@@ -382,7 +414,9 @@ def build_source(problem: Problem, source: SourceSpec) -> np.ndarray:
     grid = problem.grid
     dim = grid.dimension
     if source.kind == "delta":
-        c, wts = _interp_rows(grid, np.asarray(source.position, dtype=float)[None, :dim])
+        position = _finite(source.position)
+        _require(position.size == dim, f"[source] a delta position needs {dim} finite coordinates")
+        c, wts = _interp_rows(grid, position[None, :])
         dofs = problem.cell_dofs[c]
         vals = source.amplitude * wts
     elif source.kind == "box":
@@ -396,7 +430,7 @@ def build_source(problem: Problem, source: SourceSpec) -> np.ndarray:
         contrib = source.amplitude * grid.cell_measure[inside] / dofs.shape[1]
         vals = np.broadcast_to(contrib[:, None], dofs.shape)
     else:
-        raise ValueError(f"unknown source kind {source.kind!r}")
+        raise ValueError(f"[source] type must be box or delta, got {source.kind!r}")
     f = np.zeros(problem.dof_count)
     free = dofs >= 0
     # np.add.at sums in index order, cell by cell, as a loop over the cells would
@@ -428,10 +462,8 @@ def parse_problem_file(path) -> ProblemSpec:
 
     dom = cp["domain"]
     dimension = dom.getint("dimension", 2)
-    if dimension not in (1, 2):
-        raise ValueError(f"[domain] dimension must be 1 or 2, got {dimension}")
     extent = tuple(_parse_floats(dom["extent"]))
-    n_cells = tuple(int(v) for v in _parse_floats(dom["cells"]))
+    n_cells = tuple(_parse_floats(dom["cells"]))
     kappa = dom.getfloat("kappa", 1.0)
     sigma_bg = dom.getfloat("sigma_background", 0.1)
     bc = dom.get("bc", "dirichlet")
@@ -441,9 +473,9 @@ def parse_problem_file(path) -> ProblemSpec:
         rc = cp["receivers"]
         if "grid" in rc:
             vals = _parse_floats(rc["grid"])
-            if len(vals) != 3 * dimension:
-                raise ValueError(f"[receivers] grid needs start stop count per axis: "
-                                 f"{3 * dimension} numbers in {dimension}-D, got {len(vals)}")
+            _require(vals and len(vals) % 3 == 0 and all(n.is_integer() for n in vals[2::3]),
+                     f"[receivers] grid needs start stop count per axis, with whole counts, "
+                     f"got {rc['grid']!r}")
             receivers = _lattice([np.linspace(a, b, int(n))
                                   for a, b, n in np.reshape(vals, (-1, 3))])
         elif "positions" in rc:
@@ -452,17 +484,11 @@ def parse_problem_file(path) -> ProblemSpec:
     source = SourceSpec()
     if cp.has_section("source"):
         sc = cp["source"]
-        kind = sc.get("type", "box")
-        amplitude = sc.getfloat("amplitude", 1.0)
-        if kind == "box":
-            source = SourceSpec(kind="box",
-                                center=tuple(_parse_floats(sc.get("center", "0 0"))),
-                                size=tuple(_parse_floats(sc.get("size", "40 40"))),
-                                amplitude=amplitude)
-        else:
-            source = SourceSpec(kind="delta",
-                                position=tuple(_parse_floats(sc.get("position", "0"))),
-                                amplitude=amplitude)
+        source = SourceSpec(kind=sc.get("type", "box"),
+                            center=tuple(_parse_floats(sc.get("center", "0 0"))),
+                            size=tuple(_parse_floats(sc.get("size", "40 40"))),
+                            position=tuple(_parse_floats(sc.get("position", "0"))),
+                            amplitude=sc.getfloat("amplitude", 1.0))
 
     anomalies = []
     for section in cp.sections():

@@ -127,9 +127,13 @@ class RationalApproximant:
 
     def eval(self, x) -> np.ndarray:
         """Evaluate every channel at real arguments ``x``; returns (len(x), K_t)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        r = 1.0 / (x[:, None] - self.poles[None, :])
-        return 2.0 * np.real(r @ self.residues)
+        return _rational(np.atleast_1d(np.asarray(x, dtype=float)), self.poles, self.residues)
+
+
+def _rational(x: np.ndarray, poles: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """2 Re((x - xi)^-1 @ alpha) at the real points ``x``; returns (len(x), K_t)."""
+    r = 1.0 / (x[:, None] - poles[None, :])
+    return 2.0 * np.real(r @ alpha)
 
 
 def _check_collisions(poles: np.ndarray, tol: float) -> None:
@@ -186,8 +190,7 @@ def _residues_and_error(x: np.ndarray, F: np.ndarray, x_val: np.ndarray,
     """Least-squares residues at fixed ``poles`` on the training grid ``x``
     and their max abs error on the validation grid; returns (error, residues)."""
     alpha = _solve_residues(_pair_basis(x, poles), F, poles.size)
-    r = 1.0 / (x_val[:, None] - poles[None, :])
-    return np.max(np.abs(2.0 * np.real(r @ alpha) - F_val.T)), alpha
+    return np.max(np.abs(_rational(x_val, poles, alpha) - F_val.T)), alpha
 
 
 def _denominator_rows(B: np.ndarray, F_j: np.ndarray, m: int):

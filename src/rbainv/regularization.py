@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf
+from scipy.linalg import cholesky_banded
 
 from .mesh import Grid, Model
 
@@ -60,10 +60,7 @@ def build_reg(grid: Grid) -> RegOperator:
     u = int((upper.col - upper.row).max())
     ab = np.zeros((u + 1, P), order="F")
     ab[u + upper.row - upper.col, upper.col] = upper.data
-    cb, info = dpbtrf(ab, lower=0, overwrite_ab=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"regularization matrix is not positive definite "
-                                    f"(dpbtrf info {info})")
+    cb = cholesky_banded(ab, overwrite_ab=True)
     R_factor = sp.dia_matrix((cb, np.arange(u, -1, -1)), shape=(P, P)).tocsr()
     return RegOperator(L=L, R_factor=R_factor, anchor_eps=anchor_eps)
 

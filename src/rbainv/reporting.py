@@ -16,7 +16,6 @@ from .synthetic import DataSet
 
 __all__ = [
     "TimingModel",
-    "RunReport",
     "fit_timing_model",
     "write_run_artifacts",
     "consolidate_report",
@@ -29,27 +28,6 @@ class TimingModel:
     slope: float
     r_squared: float
     defined: bool = True
-
-
-@dataclass
-class RunReport:
-    iterations: list
-    timing: TimingModel | None
-    counters: dict
-
-    def to_json(self) -> dict:
-        doc = {
-            "iterations": self.iterations,
-            "counters": self.counters,
-        }
-        if self.timing is not None:
-            doc["timing_model"] = {
-                "intercept_ms": self.timing.intercept,
-                "ms_per_lsqr_iteration": self.timing.slope,
-                "r_squared": self.timing.r_squared,
-                "defined": self.timing.defined,
-            }
-        return doc
 
 
 def fit_timing_model(history) -> TimingModel:
@@ -131,18 +109,20 @@ def _is_history_row(row) -> bool:
         type(row.get(k)) in (int, float) for k in ("lsqr_iters", "wall_ms"))
 
 
-def consolidate_report(rundir) -> RunReport:
-    """Build the consolidated report from a rundir written by an inversion.
-    Raises ValueError when ``state.json`` holds no ``history`` list of rows
-    with numeric ``lsqr_iters`` and ``wall_ms``."""
+def consolidate_report(rundir) -> dict:
+    """The report.json document of a rundir written by an inversion: its
+    iteration history and counters, and the timing model fitted to three or
+    more iterations.  Raises ValueError when ``state.json`` holds no
+    ``history`` list of rows with numeric ``lsqr_iters`` and ``wall_ms``."""
     with open(Path(rundir) / "state.json") as fh:
         state_doc = json.load(fh)
     history = state_doc.get("history") if isinstance(state_doc, dict) else None
     if not (isinstance(history, list) and all(map(_is_history_row, history))):
         raise ValueError('state.json entry "history": expected a list of objects with numeric '
                          '"lsqr_iters" and "wall_ms"')
-    timing = None
+    doc = {"iterations": history, "counters": state_doc.get("counters", {})}
     if len(history) >= 3:
-        timing = fit_timing_model(history)
-    return RunReport(iterations=history, timing=timing,
-                     counters=state_doc.get("counters", {}))
+        t = fit_timing_model(history)
+        doc["timing_model"] = {"intercept_ms": t.intercept, "ms_per_lsqr_iteration": t.slope,
+                               "r_squared": t.r_squared, "defined": t.defined}
+    return doc

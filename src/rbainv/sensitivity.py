@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import response_from_pole_solutions
+from .forward import forward_response, pole_sum, response_from_pole_solutions
 from .mesh import Model, Problem, dM_transpose_blocks
 from .rba import RationalApproximant
 from .shifted import ShiftedFactorCache, factor_key, solve_all_poles
@@ -81,7 +81,6 @@ class JacobianOperator:
         v = np.asarray(v, dtype=float)
         approx = self.approx
         N = self.problem.dof_count
-        D = np.zeros((approx.channels.count, self.problem.receiver_count))
 
         def work(p: int, poles: range):
             rhs = self._blocks[p].T @ np.tile(v, len(poles))      # dM(g_i) v, stacked
@@ -91,9 +90,8 @@ class JacobianOperator:
             return (self._Qc @ H).T
 
         q = self._map_workers(work)
-        for i in range(approx.pole_count):
-            D += 2.0 * np.real(approx.poles[i] * np.outer(approx.residues[i], q[i]))
-        return D.ravel()
+        return pole_sum((approx.poles[i] * np.outer(approx.residues[i], q[i]).ravel()
+                         for i in range(approx.pole_count)), self.shape[0])
 
     def vjp(self, w: np.ndarray) -> np.ndarray:
         """Adjoint action; channels aggregate into one transpose solve per pole."""
@@ -102,7 +100,6 @@ class JacobianOperator:
         Qt_w = (self.problem.Q.T @ W.T).astype(complex)  # (N, K_t)
         approx = self.approx
         N = self.problem.dof_count
-        out = np.zeros(self.shape[1])
 
         def work(p: int, poles: range):
             Z = np.empty(len(poles) * N, dtype=complex)
@@ -112,9 +109,8 @@ class JacobianOperator:
             return (self._blocks[p] @ Z).reshape(len(poles), -1)
 
         parts = self._map_workers(work)
-        for i in range(approx.pole_count):
-            out += 2.0 * np.real(approx.poles[i] * parts[i])
-        return out
+        return pole_sum((approx.poles[i] * parts[i] for i in range(approx.pole_count)),
+                        self.shape[1])
 
 
 @dataclass
@@ -124,7 +120,6 @@ class TaylorReport:
     e1: np.ndarray
     slope0: float
     slope1: float
-    used: np.ndarray     # mask of points above the round-off floor
 
 
 def _loglog_slope(h: np.ndarray, e: np.ndarray, mask: np.ndarray) -> float:
@@ -133,32 +128,26 @@ def _loglog_slope(h: np.ndarray, e: np.ndarray, mask: np.ndarray) -> float:
     return float(np.polyfit(np.log10(h[mask]), np.log10(e[mask]), 1)[0])
 
 
-def taylor_test(problem: Problem, model: Model, approx: RationalApproximant,
-                direction: np.ndarray, h_values,
-                cache: ShiftedFactorCache | None = None) -> TaylorReport:
+def taylor_test(opr: JacobianOperator, direction: np.ndarray, h_values) -> TaylorReport:
     """Remainder decay of the linearization along one direction.
 
     e0(h) = |d(m + h dm) - d(m)| should shrink like h, and the first-order
     remainder e1(h) like h^2; the report carries log-log regression slopes
-    over the points above the rounding floor.
+    over the points above the rounding floor.  The trials factorize their
+    models in ``opr``'s cache, so ``opr`` is stale afterwards.
     """
     h_values = np.asarray(sorted(h_values, reverse=True), dtype=float)
     if h_values.size < 4 or h_values[0] / h_values[-1] < 100.0:
         raise ValueError("need at least 4 step sizes spanning at least 2 decades")
-    cache = cache or ShiftedFactorCache()
     direction = np.asarray(direction, dtype=float)
+    problem, approx = opr.problem, opr.approx
 
-    g0 = solve_all_poles(problem, model, approx, problem.f, cache)
-    d0 = response_from_pole_solutions(problem, approx, g0)
-    opr = JacobianOperator(problem, model, approx, cache, pole_solutions=g0)
+    d0 = response_from_pole_solutions(problem, approx, opr.g)
     jd = opr.jvp(direction)
-
     e0 = np.zeros_like(h_values)
     e1 = np.zeros_like(h_values)
     for k, h in enumerate(h_values):
-        trial = model.perturbed(direction, h)
-        g = solve_all_poles(problem, trial, approx, problem.f, cache)
-        d = response_from_pole_solutions(problem, approx, g)
+        d = forward_response(problem, opr.model.perturbed(direction, h), approx, opr.cache)
         e0[k] = np.linalg.norm(d - d0)
         e1[k] = np.linalg.norm(d - d0 - h * jd)
 
@@ -166,8 +155,7 @@ def taylor_test(problem: Problem, model: Model, approx: RationalApproximant,
     used = (e0 > floor) & (e1 > floor)
     return TaylorReport(h_values, e0, e1,
                         slope0=_loglog_slope(h_values, e0, used),
-                        slope1=_loglog_slope(h_values, e1, used),
-                        used=used)
+                        slope1=_loglog_slope(h_values, e1, used))
 
 
 def adjoint_test(opr: JacobianOperator, trials: int = 20, seed: int = 0) -> float:

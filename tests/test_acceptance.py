@@ -67,8 +67,9 @@ def test_criterion_2_taylor_slopes(small_problem, small_approx):
     rng = np.random.default_rng(17)
     direction = rng.standard_normal(small_problem.grid.cell_count)
     direction /= np.max(np.abs(direction))
-    report = rb.taylor_test(small_problem, small_problem.true_model(), small_approx,
-                            direction, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+    opr = rb.JacobianOperator(small_problem, small_problem.true_model(), small_approx,
+                              rb.ShiftedFactorCache())
+    report = rb.taylor_test(opr, direction, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
     elapsed = time.perf_counter() - t0
     ok = 0.9 <= report.slope0 <= 1.1 and 1.8 <= report.slope1 <= 2.2
     _report(2, ok and elapsed < 60.0,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import rbainv as rb
+from conftest import receiver_grid
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,3 +42,25 @@ def test_traced_counts_equal_the_cache_counters(layers, small_problem, small_app
     assert traced["shifted.factorize.count"] == cache.counters.factorizations
     assert traced["shifted.solve.count"] == cache.counters.solves
     assert traced["sensitivity.jvp.calls"] == traced["sensitivity.vjp.calls"] == 1
+
+
+def test_traced_inversion_counts_equal_the_run_history(layers, channels31):
+    layers, spans = layers
+    problem = rb.build_problem(rb.ProblemSpec(
+        n_cells=(4, 4), receivers=receiver_grid(-30.0, 30.0, 3),
+        anomalies=(rb.AnomalySpec(box=(-60, 0, -60, 0), sigma=0.3),)))
+    bound = rb.spectral_bound(problem, problem.reference_model())
+    approx = rb.fit_common_pole(rb.TimeChannels(channels31.times[::6]), (0.0, 10 * bound), 8,
+                                rb.FitConfig(grid_size=300))
+    data = rb.make_dataset(problem, problem.true_model(), approx, rb.NoiseSpec(seed=5))
+    tracer = spans.Tracer()
+    layers.install(tracer)
+    try:
+        state = rb.run_inversion(problem, data, approx, rb.InversionConfig(max_gn=3, workers=2))
+    finally:
+        tracer.remove()
+    traced = layers.metrics(tracer)
+    assert traced["inversion.gn_iters"] == len(state.history) > 0
+    assert traced["inversion.lsqr_iters"] == sum(r.lsqr_iters for r in state.history) > 0
+    assert traced["inversion.phi_evals"] == sum(r.phi_evals for r in state.history) > 0
+    assert traced["shifted.solve.count"] == state.counters["solves"]

@@ -186,6 +186,27 @@ def test_verify_subcommand(workdir):
     assert out.with_suffix(".csv").exists()
 
 
+def verify_args(workdir, W, out):
+    return ["verify", "--problem", str(workdir / "problem.ini"), "--model", "true",
+            "--approx", str(workdir / "approx.json"), "--workers", str(W), "--out", str(out)]
+
+
+def test_verify_builds_one_operator(workdir, factor_threads):
+    # one factor set at the model, shared by the operator and the adjoint
+    # check, then one per Taylor step (5)
+    assert main(verify_args(workdir, 2, workdir / "verify_factors.json")) == 0
+    assert len(factor_threads) == 6 * rb.load_approximant(workdir / "approx.json").pole_count
+    assert_freed_where_made(factor_threads)
+
+
+def test_verify_outputs_bit_identical_across_workers(workdir):
+    outs = [workdir / f"verify_bits_w{W}.json" for W in (1, 3)]
+    for W, out in zip((1, 3), outs):
+        assert main(verify_args(workdir, W, out)) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].with_suffix(".csv").read_bytes() == outs[1].with_suffix(".csv").read_bytes()
+
+
 def test_docs_name_exactly_the_parser_subcommands():
     doc = re.search(r"Subcommands:(.*?)\.\s", cli.__doc__, re.S).group(1)
     documented = {name.strip() for name in doc.split(",")}
@@ -321,6 +342,18 @@ BAD_PROBLEM_EDITS = {
     "no domain": ("[domain]", "[dom]"),
     "inverted extent": ("extent = -60 60 -60 60", "extent = 60 -60 -60 60"),
     "no receivers": ("[receivers]\ngrid = -30 30 3 -30 30 3", ""),
+    "sigma_background 0": ("sigma_background = 0.1", "sigma_background = 0"),
+    "sigma_background -0.1": ("sigma_background = 0.1", "sigma_background = -0.1"),
+    "ring source": ("type = box", "type = ring"),
+    "delta without position": ("type = box", "type = delta"),
+    "kappa inf": ("kappa = 1e5", "kappa = inf"),
+    "kappa -1e5": ("kappa = 1e5", "kappa = -1e5"),
+    "kappa 0": ("kappa = 1e5", "kappa = 0"),
+    "periodic bc": ("kappa = 1e5", "kappa = 1e5\nbc = periodic"),
+    "cells 6.7 6": ("cells = 6 6", "cells = 6.7 6"),
+    "anomaly sigma 0": ("sigma = 1.0", "sigma = 0"),
+    "anomaly 3-number box": ("box = -40 -10 -40 -10", "box = -40 -10 -40"),
+    "anomaly without sigma": ("sigma = 1.0\n", ""),
 }
 
 
@@ -360,6 +393,14 @@ def write_input(workdir, option, kind):
     ("forward", "--problem", "dimension 3"), ("forward", "--problem", "short receiver grid"),
     ("forward", "--problem", "no domain"), ("forward", "--problem", "inverted extent"),
     ("verify", "--problem", "no receivers"), ("make-data", "--problem", "no receivers"),
+    ("forward", "--problem", "sigma_background 0"),
+    ("forward", "--problem", "sigma_background -0.1"),
+    ("forward", "--problem", "ring source"), ("forward", "--problem", "delta without position"),
+    ("forward", "--problem", "kappa inf"), ("forward", "--problem", "kappa -1e5"),
+    ("forward", "--problem", "kappa 0"), ("forward", "--problem", "periodic bc"),
+    ("forward", "--problem", "cells 6.7 6"), ("make-data", "--problem", "anomaly sigma 0"),
+    ("make-data", "--problem", "anomaly 3-number box"),
+    ("make-data", "--problem", "anomaly without sigma"),
     ("forward", "--problem", "garbage"),
     ("forward", "--problem", "missing"), ("forward", "--approx", "missing"),
     ("make-data", "--approx", "{}"), ("verify", "--approx", "garbage"),

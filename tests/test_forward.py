@@ -56,10 +56,11 @@ def test_oracle_time_zero_returns_mass_solve(small_problem):
 
 
 def test_oracle_zero_stiffness_is_constant():
-    spec = rb.ProblemSpec(dimension=1, extent=(0.0, 1.0), n_cells=(6,), kappa=0.0,
+    spec = rb.ProblemSpec(dimension=1, extent=(0.0, 1.0), n_cells=(6,),
                           sigma_background=0.5, receivers=np.array([[0.5]]),
                           source=rb.SourceSpec(kind="delta", position=(0.5,)))
     prob = rb.build_problem(spec)
+    prob.K = sp.csr_matrix(prob.K.shape)      # build_problem takes kappa > 0 only
     model = prob.reference_model()
     U = dense_expm_oracle(prob, model, [1e-3, 1.0, 10.0])
     b = spla.spsolve(rb.assemble_M(prob, model).tocsc(), prob.f)

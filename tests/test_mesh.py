@@ -288,6 +288,26 @@ def test_spec_without_receivers_rejected(receivers):
         rb.build_problem(rb.ProblemSpec(n_cells=(4, 4), receivers=receivers))
 
 
+@pytest.mark.parametrize("field,value,section", [
+    ("kappa", 0.0, r"\[domain\] kappa"),
+    ("sigma_background", np.inf, r"\[domain\] sigma_background"),
+    ("bc", "periodic", r"\[domain\] bc"),
+    ("n_cells", (4.5, 4), r"\[domain\] cells"),
+    ("extent", (-60.0, 60.0), r"\[domain\] extent"),
+    ("source", rb.SourceSpec(kind="ring"), r"\[source\] type"),
+    ("source", rb.SourceSpec(kind="delta", position=(0.0,)), r"\[source\] a delta position"),
+    ("anomalies", (rb.AnomalySpec(box=(-40, -10, -40, -10), sigma=0.0, name="cond"),),
+     r"\[anomaly\.cond\] sigma"),
+    ("anomalies", (rb.AnomalySpec(box=(-40, -10), sigma=1.0, name="cond"),),
+     r"\[anomaly\.cond\] box"),
+])
+def test_bad_spec_field_names_its_section(field, value, section):
+    spec = rb.ProblemSpec(**{"n_cells": (4, 4), "receivers": np.array([(0.0, 0.0)]),
+                             field: value})
+    with pytest.raises(ValueError, match=section):
+        rb.build_problem(spec)
+
+
 def test_simplex_rule_on_a_3d_box():
     # the private grid, element and interpolation helpers are written for any
     # d; the Kuhn split of 2x2x2 cubes gives 8 * 3! tetrahedra

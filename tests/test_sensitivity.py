@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 import rbainv as rb
 from oracles import dense_jacobian
+from rbainv.forward import pole_sum
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +148,15 @@ def test_solve_budget(small_problem, small_approx):
             assert after_vjp["solves"] - after_jvp["solves"] == m
 
 
+def response_per_pole(problem, approx, g):
+    """One Q product per pole, summed in pole order onto zeros; oracle for
+    `response_from_pole_solutions`."""
+    D = np.zeros((approx.channels.count, problem.receiver_count))
+    for i in range(approx.pole_count):
+        D += 2.0 * np.real(np.outer(approx.residues[i], problem.Q @ g[i]))
+    return D.ravel()
+
+
 def jvp_per_pole(opr, v):
     """One `dM_contract` product, solve and Q product per pole, summed in
     pole order; oracle for `JacobianOperator.jvp`."""
@@ -186,6 +196,25 @@ def test_actions_bit_identical_to_per_pole_oracle(small_problem, small_approx, w
         w = rng.standard_normal(opr.shape[0])
         assert np.array_equal(opr.jvp(v), jvp_per_pole(opr, v))
         assert np.array_equal(opr.vjp(w), vjp_per_pole(opr, w))
+
+
+def test_response_bit_identical_to_per_pole_oracle(small_problem, small_approx):
+    model = small_problem.true_model()
+    data = []
+    for workers in (1, 2, 3):
+        with rb.ShiftedFactorCache(workers) as cache:
+            g = rb.solve_all_poles(small_problem, model, small_approx, small_problem.f, cache)
+            np.testing.assert_array_equal(
+                rb.response_from_pole_solutions(small_problem, small_approx, g),
+                response_per_pole(small_problem, small_approx, g))
+            data.append(rb.forward_response(small_problem, model, small_approx, cache).tobytes())
+    assert data[0] == data[1] == data[2]
+
+
+def test_pole_sum_of_a_negative_zero_is_positive_zero():
+    # a sum started from its first term would keep the -0.0 and write it to data files
+    out = pole_sum([np.array([-0.0 + 0.0j])], 1)
+    assert out[0] == 0.0 and not np.signbit(out[0])
 
 
 def vjp_per_channel(opr, w):
@@ -241,16 +270,16 @@ def test_taylor_slopes(small_problem, small_approx):
     model = small_problem.true_model()
     direction = rng.standard_normal(small_problem.grid.cell_count)
     direction /= np.max(np.abs(direction))
-    report = rb.taylor_test(small_problem, model, small_approx, direction,
-                            [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+    opr = rb.JacobianOperator(small_problem, model, small_approx, rb.ShiftedFactorCache())
+    report = rb.taylor_test(opr, direction, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
     assert 0.9 <= report.slope0 <= 1.1
     assert 1.8 <= report.slope1 <= 2.2
 
 
 def test_taylor_zero_direction(small_problem, small_approx):
     model = small_problem.true_model()
-    report = rb.taylor_test(small_problem, model, small_approx,
-                            np.zeros(small_problem.grid.cell_count),
+    opr = rb.JacobianOperator(small_problem, model, small_approx, rb.ShiftedFactorCache())
+    report = rb.taylor_test(opr, np.zeros(small_problem.grid.cell_count),
                             [1e-1, 1e-2, 1e-3, 1e-4])
     assert np.all(report.e0 == 0)
     assert np.all(report.e1 == 0)
@@ -259,11 +288,11 @@ def test_taylor_zero_direction(small_problem, small_approx):
 def test_taylor_step_range_precondition(small_problem, small_approx):
     model = small_problem.true_model()
     direction = np.ones(small_problem.grid.cell_count)
+    opr = rb.JacobianOperator(small_problem, model, small_approx, rb.ShiftedFactorCache())
     with pytest.raises(ValueError):
-        rb.taylor_test(small_problem, model, small_approx, direction, [1e-1, 1e-2, 1e-3])
+        rb.taylor_test(opr, direction, [1e-1, 1e-2, 1e-3])
     with pytest.raises(ValueError):
-        rb.taylor_test(small_problem, model, small_approx, direction,
-                       [1e-1, 5e-2, 2e-2, 1e-2])
+        rb.taylor_test(opr, direction, [1e-1, 5e-2, 2e-2, 1e-2])
 
 
 def test_linear_map_has_vanishing_first_order_remainder():

@@ -251,8 +251,8 @@ def test_closing_a_cache_frees_the_factors_functions_made_with_it(
     model = small_problem.true_model()
     with rb.ShiftedFactorCache(W) as cache:
         rb.make_dataset(small_problem, model, small_approx, rb.NoiseSpec(seed=1), cache)
-        rb.taylor_test(small_problem, model, small_approx, np.ones(small_problem.grid.cell_count),
-                       10.0 ** -np.arange(1, 6), cache)
+        opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
+        rb.taylor_test(opr, np.ones(small_problem.grid.cell_count), 10.0 ** -np.arange(1, 6))
     assert_freed_where_made(factor_threads)
 
 
