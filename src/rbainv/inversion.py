@@ -105,6 +105,23 @@ class InversionState:
 
 
 @dataclass
+class _Iterate:
+    """One evaluated model with its pole solutions ``g``, predicted data,
+    misfit (half the weighted misfit sum), chi^2 and R's value and gradient."""
+
+    model: Model
+    g: np.ndarray
+    d_pred: np.ndarray
+    misfit: float
+    chi2: float
+    reg_value: float
+    reg_grad: np.ndarray
+
+    def phi(self, lam: float) -> float:
+        return self.misfit + lam * self.reg_value
+
+
+@dataclass
 class LineSearchResult:
     eta: float
     accepted: bool
@@ -112,16 +129,21 @@ class LineSearchResult:
     n_evals: int
 
 
+def _misfit_sum(data: DataSet, d_pred: np.ndarray) -> float:
+    """The weighted misfit sum |W (d_pred - d_obs)|^2."""
+    return float(np.sum(data.residual(d_pred) ** 2))
+
+
 def chi_squared(data: DataSet, d_pred: np.ndarray) -> float:
-    """Weighted misfit normalized by the total datum count: twice the
-    loop's misfit, summed the same way, over ``data.size``."""
+    """Weighted misfit sum normalized by the total datum count: twice the
+    loop's misfit over ``data.size``."""
     if d_pred.size != data.size:
         raise ValueError("prediction length does not match data")
-    return float(np.sum((data.weights * (d_pred - data.d_obs)) ** 2)) / data.size
+    return _misfit_sum(data, d_pred) / data.size
 
 
-def default_lambda0(problem: Problem, data: DataSet, reg: RegOperator,
-                    d_start: np.ndarray, model: Model) -> float:
+def default_lambda0(data: DataSet, reg: RegOperator, d_start: np.ndarray,
+                    model: Model) -> float:
     """Starting weight balancing the misfit against the smoothness term.
 
     R vanishes at m_ref itself, so its scale is probed with a deterministic
@@ -130,10 +152,9 @@ def default_lambda0(problem: Problem, data: DataSet, reg: RegOperator,
     deliberately conservative (strongly smoothing); pass an explicit
     lambda0 to shorten the cooling path.
     """
-    misfit = float(np.sum((data.weights * (d_start - data.d_obs)) ** 2))
     pert = np.log(10.0) * np.sin(np.arange(model.cell_count, dtype=float))
     r_pert, _ = reg_value_grad(reg, Model(model.m_ref + pert, model.m_ref))
-    return misfit / max(1.0, 2.0 * r_pert)
+    return _misfit_sum(data, d_start) / max(1.0, 2.0 * r_pert)
 
 
 def gn_step(opr: JacobianOperator, reg: RegOperator, data: DataSet,
@@ -156,8 +177,7 @@ def gn_step(opr: JacobianOperator, reg: RegOperator, data: DataSet,
 
     op = spla.LinearOperator((n_data + P, P), matvec=matvec, rmatvec=rmatvec,
                              dtype=float)
-    b = -np.concatenate([W * (d_pred - data.d_obs),
-                         sql * (R @ (model.m - model.m_ref))])
+    b = -np.concatenate([data.residual(d_pred), sql * (R @ (model.m - model.m_ref))])
     x, istop, itn, *_ = spla.lsqr(op, b, atol=lsqr_cfg.tol, btol=lsqr_cfg.tol,
                                   iter_lim=lsqr_cfg.max_iters)
     return x, int(itn), int(istop)
@@ -203,28 +223,28 @@ def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
     history: list[IterationRecord] = []
     with ShiftedFactorCache(cfg.workers) as cache:
 
-        def forward_at(mdl: Model):
+        def evaluate(mdl: Model) -> _Iterate:
             g = solve_all_poles(problem, mdl, approx, problem.f, cache)
             d = response_from_pole_solutions(problem, approx, g)
-            mis = 0.5 * float(np.sum((W * (d - data.d_obs)) ** 2))
-            return (mdl, g, d, mis, *reg_value_grad(reg, mdl))
+            s = _misfit_sum(data, d)
+            return _Iterate(mdl, g, d, 0.5 * s, s / data.size, *reg_value_grad(reg, mdl))
 
-        model, g, d_pred, misfit, reg_val, reg_grad = forward_at(problem.reference_model())
+        cur = evaluate(problem.reference_model())
         lam = cfg.lambda0 if cfg.lambda0 is not None else default_lambda0(
-            problem, data, reg, d_pred, model)
+            data, reg, cur.d_pred, cur.model)
         lam_min = lam * LAMBDA_MIN_FACTOR
-        phi = misfit + lam * reg_val
-        chi2 = chi_squared(data, d_pred)
         increase_streak = 0
         diagnostic = "max Gauss-Newton iterations"
 
-        while len(history) < cfg.max_gn and chi2 > cfg.chi2_target:
+        while len(history) < cfg.max_gn and cur.chi2 > cfg.chi2_target:
             t0 = time.perf_counter()
             counters0 = cache.counters.snapshot()
+            phi_before = cur.phi(lam)
 
-            opr = JacobianOperator(problem, model, approx, cache, pole_solutions=g)
-            grad = opr.vjp(W * W * (d_pred - data.d_obs)) + lam * reg_grad
-            dm, lsqr_iters, istop = gn_step(opr, reg, data, d_pred, model, lam, cfg.lsqr)
+            opr = JacobianOperator(problem, cur.model, approx, cache, pole_solutions=cur.g)
+            grad = opr.vjp(W * W * (cur.d_pred - data.d_obs)) + lam * cur.reg_grad
+            dm, lsqr_iters, istop = gn_step(opr, reg, data, cur.d_pred, cur.model, lam,
+                                            cfg.lsqr)
             del opr                        # free its contraction blocks before the next one is built
             slope = float(grad @ dm)
 
@@ -232,28 +252,27 @@ def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
 
             def phi_eval(eta: float) -> float:
                 nonlocal trial
-                trial = forward_at(Model(model.m + eta * dm, model.m_ref))
-                return trial[3] + lam * trial[4]
+                trial = evaluate(Model(cur.model.m + eta * dm, cur.model.m_ref))
+                return trial.phi(lam)
 
-            ls = line_search(phi, slope, phi_eval)
-            if not ls.accepted:
+            ls = line_search(phi_before, slope, phi_eval)
+            if ls.accepted:
+                cur = trial
+            else:
                 # the trials replaced the factors of the model the next operator is built at
-                factorize_all_poles(problem, model, approx, cache)
+                factorize_all_poles(problem, cur.model, approx, cache)
             wall_ms = (time.perf_counter() - t0) * 1e3
             counters1 = cache.counters.snapshot()
 
-            phi_before = phi
+            phi = cur.phi(lam)
             rel_decrease = 0.0
             if ls.accepted:
-                model, g, d_pred, misfit, reg_val, reg_grad = trial
-                phi = misfit + lam * reg_val
-                chi2 = chi_squared(data, d_pred)
                 increase_streak = increase_streak + 1 if phi > phi_before else 0
                 rel_decrease = (phi_before - phi) / max(abs(phi_before), 1e-300)
 
             history.append(IterationRecord(
-                nu=len(history) + 1, phi=phi, misfit=misfit, reg_value=reg_val, chi2=chi2,
-                lam=lam, eta=ls.eta if ls.accepted else 0.0, accepted=ls.accepted,
+                nu=len(history) + 1, phi=phi, misfit=cur.misfit, reg_value=cur.reg_value,
+                chi2=cur.chi2, lam=lam, eta=ls.eta if ls.accepted else 0.0, accepted=ls.accepted,
                 lsqr_iters=lsqr_iters, lsqr_istop=istop, wall_ms=wall_ms,
                 factorizations=counters1["factorizations"] - counters0["factorizations"],
                 solves=counters1["solves"] - counters0["solves"],
@@ -264,13 +283,12 @@ def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
                 break
             if not ls.accepted or rel_decrease < COOLING_TOL:
                 lam *= 0.5
-                phi = misfit + lam * reg_val
                 if lam < lam_min:
                     diagnostic = "lambda floor reached"
                     break
 
-        if chi2 <= cfg.chi2_target:
+        if cur.chi2 <= cfg.chi2_target:
             diagnostic = "chi2 target reached"
-        return InversionState(model=model, lam=lam, nu=len(history), phi=phi, chi2=chi2,
-                              history=history, diagnostic=diagnostic,
-                              counters=cache.counters.snapshot(), d_pred=d_pred)
+        return InversionState(model=cur.model, lam=lam, nu=len(history), phi=cur.phi(lam),
+                              chi2=cur.chi2, history=history, diagnostic=diagnostic,
+                              counters=cache.counters.snapshot(), d_pred=cur.d_pred)

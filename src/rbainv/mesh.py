@@ -99,8 +99,8 @@ class SourceSpec:
     """
 
     kind: str = "box"
-    center: tuple = (0.0, 0.0)
-    size: tuple = (40.0, 40.0)
+    center: tuple = (0.0,)          # 1 or d numbers; one number serves every axis
+    size: tuple = (40.0,)
     position: tuple = (0.0,)
     amplitude: float = 1.0
 
@@ -367,43 +367,27 @@ def assemble_M(problem: Problem, model: Model) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
 
 
-def _dM_local(problem: Problem, model: Model, g: np.ndarray) -> np.ndarray:
-    """Row c holds exp(m_c) * (M_c g) on the cell-c vertices, shape (P, k)."""
-    g = np.asarray(g)
-    dofs = problem.cell_dofs                       # (P, k)
-    gl = np.where(dofs >= 0, g[np.maximum(dofs, 0)], 0.0)
-    return np.einsum("pij,pj->pi", problem.mass_local, gl) * np.exp(model.m)[:, None]
-
-
 def dM_contract(problem: Problem, model: Model, g: np.ndarray) -> sp.csc_matrix:
     """Mass-derivative tensor contracted with g: column c holds
     exp(m_c) * (M_c g) on the cell-c DOFs, shape (N, P)."""
-    local = _dM_local(problem, model, g)
-    dofs = problem.cell_dofs
-    P, k = dofs.shape
-    cols = np.repeat(np.arange(P), k)
-    rows = dofs.ravel()
-    keep = rows >= 0
-    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols.ravel()[keep])),
-                         shape=(problem.dof_count, P)).tocsc()
+    return dM_transpose_blocks(problem, model, np.asarray(g)[None]).T
 
 
 def dM_transpose_blocks(problem: Problem, model: Model, G: np.ndarray) -> sp.csr_matrix:
     """blockdiag(dM_contract(problem, model, g)^T for g in the rows of G),
-    shape (s P, s N) for s rows.
-
-    Each row lists its cell's DOFs in ascending order, as the columns of
-    `dM_contract`'s CSC do, so a product with this matrix (or with its CSC
-    transpose) adds the same terms in the same order as the per-row products
-    with `dM_contract`, and matches them bit for bit.
-    """
+    shape (s P, s N) for s rows: row c of block i holds exp(m_c) * (M_c g_i)
+    on the cell-c DOFs in ascending order, so a product with it (or with its
+    CSC transpose) adds the same terms in the same order for any grouping of
+    the rows, and matches the per-row products bit for bit."""
     dofs = problem.cell_dofs
     order = np.argsort(dofs, axis=1, kind="stable")
     sorted_dofs = np.take_along_axis(dofs, order, axis=1)
     keep = sorted_dofs >= 0
     N, s = problem.dof_count, len(G)
-    data = np.concatenate([np.take_along_axis(_dM_local(problem, model, g), order, axis=1)[keep]
-                           for g in G])
+    exp_m = np.exp(model.m)[:, None]
+    local = (np.einsum("pij,pj->pi", problem.mass_local,
+                       np.where(dofs >= 0, g[np.maximum(dofs, 0)], 0.0)) * exp_m for g in G)
+    data = np.concatenate([np.take_along_axis(a, order, axis=1)[keep] for a in local])
     indices = (sorted_dofs[keep] + N * np.arange(s)[:, None]).ravel()
     indptr = np.concatenate(([0], np.cumsum(np.tile(keep.sum(axis=1), s))))
     return sp.csr_matrix((data, indices, indptr), shape=(s * dofs.shape[0], s * N))
@@ -420,8 +404,10 @@ def build_source(problem: Problem, source: SourceSpec) -> np.ndarray:
         dofs = problem.cell_dofs[c]
         vals = source.amplitude * wts
     elif source.kind == "box":
-        center = np.asarray(source.center, dtype=float)[:dim]
-        half = 0.5 * np.asarray(source.size, dtype=float)[:dim]
+        center, size = _finite(source.center), _finite(source.size)
+        for name, a in [("center", center), ("size", size)]:
+            _require(a.size in (1, dim), f"[source] a box {name} needs 1 or {dim} finite numbers")
+        center, half = np.broadcast_to(center, dim), np.broadcast_to(0.5 * size, dim)
         inside = _in_box(grid.cell_centroids(), np.column_stack([center - half, center + half]))
         if source.amplitude != 0.0 and not np.any(inside):
             raise ValueError("source footprint does not intersect the domain")
@@ -450,55 +436,61 @@ def spectral_bound(problem: Problem, model: Model) -> float:
     return float(w[:, -1].max(initial=0.0))
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _floats(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+# each problem-file section's keys, with the spec field and parser of each spec key
+_FILE_KEYS = {
+    "domain": {"dimension": ("dimension", int), "extent": ("extent", _floats),
+               "cells": ("n_cells", _floats), "kappa": ("kappa", float),
+               "sigma_background": ("sigma_background", float), "bc": ("bc", str)},
+    "source": {"type": ("kind", str), "center": ("center", _floats), "size": ("size", _floats),
+               "position": ("position", _floats), "amplitude": ("amplitude", float)},
+    "receivers": ("grid", "positions"),
+    "anomaly": ("box", "sigma"),
+}
+
+
+def _spec_fields(section, keys: dict) -> dict:
+    """The spec fields that ``section`` gives, parsed; the others keep their defaults."""
+    return {name: parse(section[key]) for key, (name, parse) in keys.items() if key in section}
 
 
 def parse_problem_file(path) -> ProblemSpec:
-    """Read the documented key-value problem format (see README)."""
-    cp = configparser.ConfigParser()
+    """Read the documented key-value problem format (see README): inline
+    ``#`` comments, no unknown section or key, and a key left out takes
+    the default of its `ProblemSpec` or `SourceSpec` field."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path) as fh:
         cp.read_file(fh)
+    for section in cp.sections():
+        keys = _FILE_KEYS.get("anomaly" if section.partition(".")[0] == "anomaly" else section)
+        _require(keys is not None, f"unknown section [{section}]")
+        for key in cp[section]:
+            _require(key in keys, f"[{section}] unknown key {key!r}")
 
-    dom = cp["domain"]
-    dimension = dom.getint("dimension", 2)
-    extent = tuple(_parse_floats(dom["extent"]))
-    n_cells = tuple(_parse_floats(dom["cells"]))
-    kappa = dom.getfloat("kappa", 1.0)
-    sigma_bg = dom.getfloat("sigma_background", 0.1)
-    bc = dom.get("bc", "dirichlet")
-
+    domain = _spec_fields(cp["domain"], _FILE_KEYS["domain"])
+    dimension = domain.get("dimension", ProblemSpec.dimension)
     receivers = np.zeros((0, dimension))
     if cp.has_section("receivers"):
         rc = cp["receivers"]
         if "grid" in rc:
-            vals = _parse_floats(rc["grid"])
+            vals = _floats(rc["grid"])
             _require(vals and len(vals) % 3 == 0 and all(n.is_integer() for n in vals[2::3]),
                      f"[receivers] grid needs start stop count per axis, with whole counts, "
                      f"got {rc['grid']!r}")
             receivers = _lattice([np.linspace(a, b, int(n))
                                   for a, b, n in np.reshape(vals, (-1, 3))])
         elif "positions" in rc:
-            receivers = np.reshape(_parse_floats(rc["positions"]), (-1, dimension))
+            receivers = np.reshape(_floats(rc["positions"]), (-1, dimension))
 
     source = SourceSpec()
     if cp.has_section("source"):
-        sc = cp["source"]
-        source = SourceSpec(kind=sc.get("type", "box"),
-                            center=tuple(_parse_floats(sc.get("center", "0 0"))),
-                            size=tuple(_parse_floats(sc.get("size", "40 40"))),
-                            position=tuple(_parse_floats(sc.get("position", "0"))),
-                            amplitude=sc.getfloat("amplitude", 1.0))
+        source = SourceSpec(**_spec_fields(cp["source"], _FILE_KEYS["source"]))
 
-    anomalies = []
-    for section in cp.sections():
-        if section.startswith("anomaly"):
-            an = cp[section]
-            anomalies.append(AnomalySpec(
-                box=tuple(_parse_floats(an["box"])),
-                sigma=an.getfloat("sigma"),
-                name=section.partition(".")[2]))
-
-    return ProblemSpec(dimension=dimension, extent=extent, n_cells=n_cells,
-                       kappa=kappa, sigma_background=sigma_bg, bc=bc,
-                       receivers=receivers, source=source, anomalies=tuple(anomalies))
+    anomalies = tuple(AnomalySpec(box=_floats(cp[section]["box"]),
+                                  sigma=cp[section].getfloat("sigma"),
+                                  name=section.partition(".")[2])
+                      for section in cp.sections() if section.partition(".")[0] == "anomaly")
+    return ProblemSpec(**domain, receivers=receivers, source=source, anomalies=anomalies)

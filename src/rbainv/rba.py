@@ -175,21 +175,22 @@ def _pair_basis(x: np.ndarray, poles: np.ndarray) -> np.ndarray:
     return np.concatenate([2.0 * r.real, -2.0 * r.imag], axis=1)
 
 
-def _solve_residues(basis: np.ndarray, targets: np.ndarray, m: int) -> np.ndarray:
-    """Least-squares residues for all channels from one column-scaled
-    factorization; returns (m, K_t) complex."""
-    scale = np.linalg.norm(basis, axis=0)
+def _scaled_lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solution of ``A x ~= b`` (b with one or more columns)
+    through the columns of ``A`` scaled to unit norm; zero columns stay."""
+    scale = np.linalg.norm(A, axis=0)
     scale[scale == 0] = 1.0
-    coef, *_ = np.linalg.lstsq(basis / scale, targets.T, rcond=None)
-    coef = coef / scale[:, None]
-    return coef[:m, :] + 1j * coef[m:, :]
+    x, *_ = np.linalg.lstsq(A / scale, b, rcond=None)
+    return (x.T / scale).T
 
 
 def _residues_and_error(x: np.ndarray, F: np.ndarray, x_val: np.ndarray,
                         F_val: np.ndarray, poles: np.ndarray):
-    """Least-squares residues at fixed ``poles`` on the training grid ``x``
-    and their max abs error on the validation grid; returns (error, residues)."""
-    alpha = _solve_residues(_pair_basis(x, poles), F, poles.size)
+    """Least-squares residues at fixed ``poles`` for all channels on the
+    training grid ``x``, from one column-scaled factorization, and their max
+    abs error on the validation grid; returns (error, (m, K_t) residues)."""
+    coef = _scaled_lstsq(_pair_basis(x, poles), F.T)
+    alpha = coef[:poles.size, :] + 1j * coef[poles.size:, :]
     return np.max(np.abs(_rational(x_val, poles, alpha) - F_val.T)), alpha
 
 
@@ -223,36 +224,21 @@ def _relocate_poles(poles: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarr
     cannot host) are merged pairwise and lifted off the axis.
     """
     m = poles.size
+    k = 2 * np.arange(m)
     A = np.zeros((2 * m, 2 * m))
-    b = np.zeros(2 * m)
-    crow = np.zeros(2 * m)
-    for i, xi in enumerate(poles):
-        k = 2 * i
-        A[k, k] = A[k + 1, k + 1] = xi.real
-        A[k, k + 1] = xi.imag
-        A[k + 1, k] = -xi.imag
-        b[k] = 2.0
-        crow[k] = c[i]
-        crow[k + 1] = d[i]
-    ev = np.linalg.eigvals(A - np.outer(b, crow))
+    A[k, k] = A[k + 1, k + 1] = poles.real
+    A[k, k + 1] = poles.imag
+    A[k + 1, k] = -poles.imag
+    ev = np.linalg.eigvals(A - np.outer(np.tile([2.0, 0.0], m), np.column_stack([c, d]).ravel()))
 
-    atol = 1e-300
-    rtol = 1e-9
-    is_real = np.abs(ev.imag) <= rtol * np.abs(ev) + atol
-    new = list(ev[(~is_real) & (ev.imag > 0)])
+    is_real = np.abs(ev.imag) <= 1e-9 * np.abs(ev) + 1e-300
     reals = np.sort(ev[is_real].real)
-    for k in range(0, reals.size - 1, 2):
-        mid = 0.5 * (reals[k] + reals[k + 1])
-        half = 0.5 * abs(reals[k + 1] - reals[k])
-        lift = max(half, 1e-6 * max(abs(mid), 1.0))
-        new.append(mid + 1j * lift)
-    new = np.asarray(new, dtype=complex)
+    lo, hi = reals[:-1:2], reals[1::2]
+    mid = 0.5 * (lo + hi)
+    lift = np.maximum(0.5 * np.abs(hi - lo), 1e-6 * np.maximum(np.abs(mid), 1.0))
+    new = np.concatenate([ev[(~is_real) & (ev.imag > 0)], mid + 1j * lift])
     if new.size != m:
         raise RuntimeError(f"pole relocation produced {new.size} poles, expected {m}")
-    # reflect anything that still sits on (or under) the real axis
-    bad = new.imag <= 0
-    if np.any(bad):
-        new[bad] = new[bad].real + 1j * (np.abs(new[bad].imag) + 1e-6 * np.maximum(np.abs(new[bad]), 1.0))
     new = _spread_duplicates(new)
     return new[np.lexsort((new.real, new.imag))]
 
@@ -318,16 +304,13 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
         rows = pool.map_poles(lambda j: _denominator_rows(B, F[j], m), times.size)
         AA = np.vstack([R for R, _ in rows])
         bb = np.concatenate([b for _, b in rows])
-        col = np.linalg.norm(AA, axis=0)
-        col[col == 0] = 1.0
-        cd, *_ = np.linalg.lstsq(AA / col, bb, rcond=None)
-        cd = cd / col
+        cd = _scaled_lstsq(AA, bb)
 
         new_poles = _relocate_poles(poles, cd[:m], cd[m:])
         _check_collisions(new_poles, COLLISION_TOL)
 
-        old_sorted = poles[np.lexsort((poles.real, poles.imag))]
-        move = np.max(np.abs(new_poles - old_sorted) / np.maximum(np.abs(old_sorted), 1e-300))
+        # both the initial and the relocated poles come in lexsort((real, imag)) order
+        move = np.max(np.abs(new_poles - poles) / np.maximum(np.abs(poles), 1e-300))
         poles = new_poles
 
         err, alpha = _residues_and_error(x, F, x_val, F_val, poles)

@@ -87,7 +87,7 @@ def write_run_artifacts(rundir, state: InversionState, data: DataSet,
     K_t = approx.channels.count
     M_r = problem.receiver_count
     d_pred = state.d_pred
-    wres = (data.weights * (d_pred - data.d_obs)).reshape(K_t, M_r)
+    wres = data.residual(d_pred).reshape(K_t, M_r)
     with open(out / "residual_heatmap.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_s"] + [f"rx{r}" for r in range(M_r)])

@@ -1,15 +1,16 @@
 """Noisy synthetic observations from a known model.
 
 Noise follows sigma(d) = |d| eps_r + eps_a per datum, Gaussian, seeded;
-the dataset carries the weights W_d = 1/sigma used by the misfit so that
-chi^2 at the true model concentrates around one.
+the dataset carries the weights W_d = 1/sigma and the weighted residual
+W_d (d - d_obs) that every misfit is built from, so that chi^2 at the true
+model concentrates around one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,14 +47,16 @@ class DataSet:
     eps_a: float
     seed: int
     provenance: dict
+    weights: np.ndarray = field(init=False, repr=False, compare=False)     # W_d = 1 / sigma_d
 
     def __post_init__(self):
         if np.any(self.sigma_d <= 0):
             raise ValueError("sigma_d must be strictly positive")
+        self.weights = 1.0 / self.sigma_d
 
-    @property
-    def weights(self) -> np.ndarray:
-        return 1.0 / self.sigma_d
+    def residual(self, d_pred: np.ndarray) -> np.ndarray:
+        """The weighted residual W_d (d_pred - d_obs)."""
+        return self.weights * (d_pred - self.d_obs)
 
     @property
     def size(self) -> int:

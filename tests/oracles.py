@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import rbainv as rb
@@ -91,3 +92,19 @@ def dense_jacobian(opr) -> np.ndarray:
         cols.append(opr.jvp(e))
         e[c] = 0.0
     return np.column_stack(cols)
+
+
+def dM_contract_reference(problem, model, g):
+    """The mass-derivative tensor contracted with ``g``, assembled as COO
+    from the element-local blocks: column c holds exp(m_c) * (M_c g) on the
+    cell-c DOFs, shape (N, P) in CSC."""
+    g = np.asarray(g)
+    dofs = problem.cell_dofs
+    gl = np.where(dofs >= 0, g[np.maximum(dofs, 0)], 0.0)
+    local = np.einsum("pij,pj->pi", problem.mass_local, gl) * np.exp(model.m)[:, None]
+    P, k = dofs.shape
+    cols = np.repeat(np.arange(P), k)
+    rows = dofs.ravel()
+    keep = rows >= 0
+    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])),
+                         shape=(problem.dof_count, P)).tocsc()

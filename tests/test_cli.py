@@ -354,6 +354,10 @@ BAD_PROBLEM_EDITS = {
     "anomaly sigma 0": ("sigma = 1.0", "sigma = 0"),
     "anomaly 3-number box": ("box = -40 -10 -40 -10", "box = -40 -10 -40"),
     "anomaly without sigma": ("sigma = 1.0\n", ""),
+    "kapa": ("kappa = 1e5", "kapa = 1e5"),
+    "amplitud": ("amplitude = 1.0", "amplitud = 2.0"),
+    "sources section": ("[source]", "[sources]"),
+    "3-number center": ("center = 0 0", "center = 0 0 7"),
 }
 
 
@@ -401,6 +405,8 @@ def write_input(workdir, option, kind):
     ("forward", "--problem", "cells 6.7 6"), ("make-data", "--problem", "anomaly sigma 0"),
     ("make-data", "--problem", "anomaly 3-number box"),
     ("make-data", "--problem", "anomaly without sigma"),
+    ("forward", "--problem", "kapa"), ("forward", "--problem", "amplitud"),
+    ("forward", "--problem", "sources section"), ("forward", "--problem", "3-number center"),
     ("forward", "--problem", "garbage"),
     ("forward", "--problem", "missing"), ("forward", "--approx", "missing"),
     ("make-data", "--approx", "{}"), ("verify", "--approx", "garbage"),

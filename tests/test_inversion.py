@@ -187,8 +187,9 @@ def test_run_inversion_reduces_misfit_and_history_consistency(tiny_setup):
     lams = [r.lam for r in state.history]
     assert all(lams[i + 1] <= lams[i] for i in range(len(lams) - 1))
     for r in state.history:
-        # stored phi must replay from its own pieces
-        assert r.phi == pytest.approx(r.misfit + r.lam * r.reg_value, rel=1e-12)
+        # stored phi and chi^2 replay exactly from their own pieces
+        assert r.phi == r.misfit + r.lam * r.reg_value
+        assert r.chi2 == 2 * r.misfit / data.size
         if r.accepted:
             # Armijo inequality replayable from the recorded values
             assert r.phi <= r.phi_before + 1e-4 * r.eta * r.directional_slope + 1e-12 * abs(r.phi_before)
@@ -247,6 +248,28 @@ def test_divergence_guard_aborts(tiny_setup, monkeypatch):
     assert len(state.history) <= 6
 
 
+def test_divergence_streak_survives_a_rejected_step(tiny_setup, monkeypatch):
+    """Rise, reject, rise, rise: a rejected step leaves the streak of rising
+    accepted steps as it is, so the guard fires after the fourth iteration
+    (a streak reset by the rejection would delay it to the fifth)."""
+    prob, ap, data = tiny_setup
+    force_divergence(monkeypatch)
+    searches = []
+
+    def reject_second(phi0, slope, evaluator):
+        searches.append(phi0)
+        phi = evaluator(1.0)
+        if len(searches) == 2:
+            return rb.LineSearchResult(inv_mod.ETA_MIN, False, phi0, 1)
+        return rb.LineSearchResult(1.0, True, phi, 1)
+
+    monkeypatch.setattr(inv_mod, "line_search", reject_second)
+    state = rb.run_inversion(prob, data, ap, rb.InversionConfig(lambda0=1.0, max_gn=20))
+    assert [r.accepted for r in state.history] == [True, False, True, True]
+    assert all(r.phi > r.phi_before for r in state.history if r.accepted)
+    assert state.diagnostic == "divergence guard: objective rose on 3 consecutive accepted steps"
+
+
 def test_lambda_floor_stops(tiny_setup, monkeypatch):
     prob, ap, data = tiny_setup
     force_lambda_floor(monkeypatch)
@@ -261,7 +284,7 @@ def test_default_lambda0_formula(tiny_setup):
     reg = rb.build_reg(prob.grid)
     model = prob.reference_model()
     d0 = rb.forward_response(prob, model, ap, rb.ShiftedFactorCache())
-    lam0 = rb.default_lambda0(prob, data, reg, d0, model)
+    lam0 = rb.default_lambda0(data, reg, d0, model)
     misfit = float(np.sum((data.weights * (d0 - data.d_obs)) ** 2))
     pert = np.log(10.0) * np.sin(np.arange(model.cell_count, dtype=float))
     r_pert, _ = rb.reg_value_grad(reg, rb.Model(model.m_ref + pert, model.m_ref))

@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -6,6 +10,7 @@ import scipy.sparse as sp
 import rbainv as rb
 from rbainv import mesh
 from conftest import in_box, receiver_grid
+from oracles import dM_contract_reference
 
 
 def uniform_1d(n=10, sigma=0.1, kappa=1.0, bc="dirichlet"):
@@ -107,6 +112,21 @@ def test_dM_contract_zero_vector(small_problem):
     model = small_problem.reference_model()
     out = rb.dM_contract(small_problem, model, np.zeros(small_problem.dof_count))
     assert out.nnz == 0 or np.all(out.data == 0)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "zero"])
+def test_dM_contract_bit_identical_to_coo_reference(small_problem, problem_1d, kind):
+    rng = np.random.default_rng(4)
+    for prob in (small_problem, problem_1d):
+        model = prob.true_model().perturbed(rng.standard_normal(prob.grid.cell_count), 0.3)
+        g = {"real": rng.standard_normal(prob.dof_count),
+             "complex": rng.standard_normal(prob.dof_count) + 1j * rng.standard_normal(prob.dof_count),
+             "zero": np.zeros(prob.dof_count)}[kind]
+        got, want = rb.dM_contract(prob, model, g), dM_contract_reference(prob, model, g)
+        assert got.format == want.format == "csc" and got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_dM_contract_finite_difference(small_problem):
@@ -270,6 +290,59 @@ sigma = 0.01
     assert spec.anomalies[0].sigma == 1.0
     prob = rb.build_problem(spec)
     assert prob.receiver_count == 9
+
+
+def test_readme_problem_file_builds(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "problem.ini"
+    path.write_text(re.search(r"^```ini\n(.*?)^```", readme, re.S | re.M).group(1))
+    spec = rb.parse_problem_file(path)
+    assert (spec.dimension, spec.extent, spec.n_cells, spec.kappa, spec.sigma_background,
+            spec.bc) == (2, (-60, 60, -60, 60), (16, 16), 1e5, 0.1, "dirichlet")
+    assert spec.source == rb.SourceSpec(kind="box", center=(0, 0), size=(40, 40), amplitude=1.0)
+    assert spec.anomalies == (rb.AnomalySpec((-40, -10, -40, -10), 1.0, "cond"),
+                              rb.AnomalySpec((10, 40, 10, 40), 0.01, "res"))
+    assert rb.build_problem(spec).receiver_count == 49
+
+
+SMALL_PROBLEM_FILE = """[domain]
+extent = -60 60 -60 60
+cells = 4 4
+
+[source]
+center = 5
+
+[receivers]
+positions = 0 0
+"""
+
+
+def test_problem_file_keys_left_out_take_the_spec_defaults(tmp_path):
+    path = tmp_path / "problem.ini"
+    path.write_text(SMALL_PROBLEM_FILE)
+    spec = rb.parse_problem_file(path)
+    default = rb.ProblemSpec()
+    assert (spec.dimension, spec.kappa, spec.sigma_background, spec.bc) == (
+        default.dimension, default.kappa, default.sigma_background, default.bc)
+    assert spec.kappa == 1e5
+    assert spec.source == rb.SourceSpec(center=(5.0,))
+    # one number serves every axis
+    both = dataclasses.replace(spec, source=rb.SourceSpec(center=(5.0, 5.0), size=(40.0, 40.0)))
+    np.testing.assert_array_equal(rb.build_problem(spec).f, rb.build_problem(both).f)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (("cells = 4 4", "cels = 4 4"), r"\[domain\] unknown key 'cels'"),
+    (("center = 5", "centre = 5"), r"\[source\] unknown key 'centre'"),
+    (("[receivers]", "[receiver]"), r"unknown section \[receiver\]"),
+    (("center = 5", "center = 0 0 7"), r"\[source\] a box center needs 1 or 2"),
+    (("center = 5", "size = 40 40 40"), r"\[source\] a box size needs 1 or 2"),
+])
+def test_problem_file_unknown_or_extra_entries_rejected(tmp_path, edit, message):
+    path = tmp_path / "problem.ini"
+    path.write_text(SMALL_PROBLEM_FILE.replace(*edit))
+    with pytest.raises(ValueError, match=message):
+        rb.build_problem(rb.parse_problem_file(path))
 
 
 @pytest.mark.parametrize("receivers", ["", "[receivers]\n", "[receivers]\ngrid = 0 1 0\n",
@@ -483,7 +556,9 @@ def reference_problem(spec):
             if d >= 0:
                 f[d] += src.amplitude * wt
     else:
-        center, size = np.asarray(src.center, dtype=float), np.asarray(src.size, dtype=float)
+        # one number serves every axis
+        center, size = (np.broadcast_to(np.asarray(v, dtype=float), spec.dimension)
+                        for v in (src.center, src.size))
         box = [v for lo, hi in zip(center - 0.5 * size, center + 0.5 * size) for v in (lo, hi)]
         for c in np.flatnonzero(in_box(grid.cell_centroids(), box)):
             for d in cell_dofs[c]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import fields, replace
 
@@ -234,3 +235,64 @@ def test_denominator_rows_match_explicit_q_oracle():
     assert [(R.shape, b.shape) for R, b in got] == [(R.shape, b.shape) for R, b in want]
     cd, cd_ref = _stacked_cd(got), _stacked_cd(want)
     assert np.linalg.norm(cd - cd_ref) <= 1e-10 * np.linalg.norm(cd_ref)
+
+
+def test_relocate_poles_merges_a_real_pair_into_one_pole():
+    # pole i with (c, d) = (2, 0): the 2x2 block [[-4, 1], [-1, 0]] has the
+    # real eigenvalues -2 +- sqrt(3), merged at their midpoint and lifted by
+    # their half distance
+    new = rba._relocate_poles(np.array([1j]), np.array([2.0]), np.array([0.0]))
+    np.testing.assert_allclose(new, [-2.0 + 1j * np.sqrt(3.0)], rtol=1e-14)
+
+
+def relocate_poles_loop(poles, c, d):
+    """`rba._relocate_poles` with a loop per pole for the block companion form
+    and per real pair for the merge; reference for its array version."""
+    m = poles.size
+    A, b, crow = np.zeros((2 * m, 2 * m)), np.zeros(2 * m), np.zeros(2 * m)
+    for i, xi in enumerate(poles):
+        k = 2 * i
+        A[k, k] = A[k + 1, k + 1] = xi.real
+        A[k, k + 1], A[k + 1, k] = xi.imag, -xi.imag
+        b[k], crow[k], crow[k + 1] = 2.0, c[i], d[i]
+    ev = np.linalg.eigvals(A - np.outer(b, crow))
+    is_real = np.abs(ev.imag) <= 1e-9 * np.abs(ev) + 1e-300
+    new = list(ev[~is_real & (ev.imag > 0)])
+    reals = np.sort(ev[is_real].real)
+    for k in range(0, reals.size - 1, 2):
+        mid = 0.5 * (reals[k] + reals[k + 1])
+        new.append(mid + 1j * max(0.5 * abs(reals[k + 1] - reals[k]), 1e-6 * max(abs(mid), 1.0)))
+    new = rba._spread_duplicates(np.asarray(new, dtype=complex))
+    return new[np.lexsort((new.real, new.imag))]
+
+
+def test_relocate_poles_returns_m_upper_half_plane_poles(monkeypatch):
+    eigvals = np.linalg.eigvals
+    real_counts = []
+
+    def counting_eigvals(a):
+        ev = eigvals(a)
+        real_counts.append(int(np.sum(ev.imag == 0)))
+        return ev
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    times = np.geomspace(1e-6, 1e-3, 31)
+    for seed, m, amp in itertools.product(range(10), (1, 3, 6), (1e-3, 1.0, 1e3)):
+        rng = np.random.default_rng(seed)
+        poles = rba._initial_poles(times, m)
+        c, d = amp * np.abs(poles) * rng.standard_normal((2, m))
+        new = rba._relocate_poles(poles, c, d)
+        assert new.shape == (m,) and np.all(new.imag > 0)
+        np.testing.assert_array_equal(new, new[np.lexsort((new.real, new.imag))])
+        np.testing.assert_array_equal(new, relocate_poles_loop(poles, c, d))
+    assert sum(n > 0 for n in real_counts) >= 40       # real pairs were merged
+
+
+def test_spread_duplicates_nudges_coincident_poles_apart():
+    poles = np.array([1.0 + 2.0j, 3.0 + 1.0j, 1.0 + 2.0j])
+    out = rba._spread_duplicates(poles)
+    np.testing.assert_array_equal(out[:2], [3.0 + 1.0j, 1.0 + 2.0j])   # (imag, real) order
+    assert out[2].real == 1.0 and out[2].imag > 2.0
+    rba._check_collisions(out, rba.COLLISION_TOL)
+    distinct = np.array([1.0 + 1.0j, 2.0 + 1.5j])
+    np.testing.assert_array_equal(rba._spread_duplicates(distinct), distinct)

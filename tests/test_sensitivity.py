@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import rbainv as rb
-from oracles import dense_jacobian
+from oracles import dM_contract_reference, dense_jacobian
 from rbainv.forward import pole_sum
 
 
@@ -158,25 +158,25 @@ def response_per_pole(problem, approx, g):
 
 
 def jvp_per_pole(opr, v):
-    """One `dM_contract` product, solve and Q product per pole, summed in
-    pole order; oracle for `JacobianOperator.jvp`."""
+    """One COO-assembled `dM_contract` product, solve and Q product per pole,
+    summed in pole order; oracle for `JacobianOperator.jvp`."""
     approx = opr.approx
     D = np.zeros((approx.channels.count, opr.problem.receiver_count))
     for i in range(approx.pole_count):
-        dM = rb.dM_contract(opr.problem, opr.model, opr.g[i])
+        dM = dM_contract_reference(opr.problem, opr.model, opr.g[i])
         q = opr.problem.Q @ opr.cache.solve(i, dM @ v)
         D += 2.0 * np.real(approx.poles[i] * np.outer(approx.residues[i], q))
     return D.ravel()
 
 
 def vjp_per_pole(opr, w):
-    """One aggregated transpose solve and `dM_contract` product per pole,
-    summed in pole order; oracle for `JacobianOperator.vjp`."""
+    """One aggregated transpose solve and COO-assembled `dM_contract` product
+    per pole, summed in pole order; oracle for `JacobianOperator.vjp`."""
     approx = opr.approx
     Qt_w = opr.problem.Q.T @ np.reshape(w, (approx.channels.count, -1)).T
     out = np.zeros(opr.shape[1])
     for i in range(approx.pole_count):
-        dM = rb.dM_contract(opr.problem, opr.model, opr.g[i])
+        dM = dM_contract_reference(opr.problem, opr.model, opr.g[i])
         z = opr.cache.solve(i, Qt_w @ approx.residues[i], trans="T")
         out += 2.0 * np.real(approx.poles[i] * (dM.T @ z))
     return out
@@ -224,7 +224,7 @@ def vjp_per_channel(opr, w):
     approx = opr.approx
     out = np.zeros(opr.shape[1])
     for i in range(approx.pole_count):
-        dM = rb.dM_contract(opr.problem, opr.model, opr.g[i])
+        dM = dM_contract_reference(opr.problem, opr.model, opr.g[i])
         for j in range(approx.channels.count):
             z = opr.cache.solve(i, opr.problem.Q.T @ W[j].astype(complex), trans="T")
             out += 2.0 * np.real(approx.poles[i] * approx.residues[i, j] * (dM.T @ z))
