@@ -168,12 +168,13 @@ def gn_step(opr: JacobianOperator, reg: RegOperator, data: DataSet,
     W = data.weights
     sql = np.sqrt(lam)
     R = reg.R_factor
+    Rt = R.T
 
     def matvec(v):
         return np.concatenate([W * opr.jvp(v), sql * (R @ v)])
 
     def rmatvec(u):
-        return opr.vjp(W * u[:n_data]) + sql * (R.T @ u[n_data:])
+        return opr.vjp(W * u[:n_data]) + sql * (Rt @ u[n_data:])
 
     op = spla.LinearOperator((n_data + P, P), matvec=matvec, rmatvec=rmatvec,
                              dtype=float)

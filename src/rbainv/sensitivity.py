@@ -38,10 +38,11 @@ class JacobianOperator:
     Holds the pole solutions g_i and, per cache worker p, one block-diagonal
     CSR B_p = blockdiag(dM(g_i)^T) over the poles i = p mod W that p owns.
     A Jacobian action maps one task per worker: one product with B_p (or its
-    CSC transpose), that worker's solves, and one product with Q.  The
-    per-pole terms are summed on the calling thread in pole order, so the
-    output is bit-identical for any worker count.  Instances are read-only
-    once built, and raise once the cache holds another `factor_key`.
+    CSC transpose, kept from construction), that worker's solves, and one
+    product with Q.  The per-pole terms are summed on the calling thread in
+    pole order, so the output is bit-identical for any worker count.
+    Instances are read-only once built, and raise once the cache holds
+    another `factor_key`.
     """
 
     def __init__(self, problem: Problem, model: Model, approx: RationalApproximant,
@@ -57,10 +58,12 @@ class JacobianOperator:
         self.shape = (problem.receiver_count * approx.channels.count,
                       problem.grid.cell_count)
         self._Qc = problem.Q.astype(complex)
+        self._Qt = problem.Q.T
         stride = cache.pool.workers
         self._blocks = cache.pool.map_poles(
             lambda p: dM_transpose_blocks(problem, model, self.g[p::stride]),
             min(stride, approx.pole_count))
+        self._blocks_T = [B.T for B in self._blocks]      # CSC views, no copies
 
     def _check_current(self):
         if not self.cache.holds(self.key):
@@ -83,7 +86,7 @@ class JacobianOperator:
         N = self.problem.dof_count
 
         def work(p: int, poles: range):
-            rhs = self._blocks[p].T @ np.tile(v, len(poles))      # dM(g_i) v, stacked
+            rhs = self._blocks_T[p] @ np.tile(v, len(poles))      # dM(g_i) v, stacked
             H = np.empty((N, len(poles)), dtype=complex)
             for k, i in enumerate(poles):
                 H[:, k] = self.cache.solve(i, rhs[k * N:(k + 1) * N])
@@ -97,7 +100,7 @@ class JacobianOperator:
         """Adjoint action; channels aggregate into one transpose solve per pole."""
         self._check_current()
         W = np.asarray(w, dtype=float).reshape(self.approx.channels.count, -1)
-        Qt_w = (self.problem.Q.T @ W.T).astype(complex)  # (N, K_t)
+        Qt_w = (self._Qt @ W.T).astype(complex)  # (N, K_t)
         approx = self.approx
         N = self.problem.dof_count
 

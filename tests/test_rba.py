@@ -210,6 +210,26 @@ def test_fit_history_has_one_entry_per_iteration(channels31):
     assert ap.fit_error == min([initial.fit_error] + [err for err, _ in history])
 
 
+def test_fit_stops_stall_iters_past_its_best_iterate(monkeypatch):
+    # a fit that neither converges nor reaches max_iters ends on the stall
+    # rule; a wider window only adds passes that never beat the best one
+    channels = rb.TimeChannels.logspaced(1e-6, 1e-3, 7)
+    cfg = FitConfig(grid_size=300, max_iters=50)
+    stall = rba.STALL_ITERS
+    fit = rb.fit_common_pole(channels, (0.0, 1e6), 8, cfg)
+    monkeypatch.setattr(rba, "STALL_ITERS", 10)
+    wide = rb.fit_common_pole(channels, (0.0, 1e6), 8, cfg)
+    assert not (fit.converged or wide.converged)
+    assert len(wide.history) < cfg.max_iters
+    assert wide.history[:len(fit.history)] == fit.history
+    best_pass = 1 + int(np.argmin([err for err, _ in fit.history]))
+    assert fit.history[best_pass - 1][0] == fit.fit_error
+    assert fit.iterations == best_pass + stall < wide.iterations
+    np.testing.assert_array_equal(wide.poles, fit.poles)
+    np.testing.assert_array_equal(wide.residues, fit.residues)
+    assert wide.fit_error == fit.fit_error
+
+
 def _denominator_rows_oracle(B, F_j, m):
     """``R[2m:, 2m:]`` and ``Q[:, 2m:]^T F_j`` from an explicit-Q QR of
     ``[B | -F_j B]``."""
@@ -296,3 +316,11 @@ def test_spread_duplicates_nudges_coincident_poles_apart():
     rba._check_collisions(out, rba.COLLISION_TOL)
     distinct = np.array([1.0 + 1.0j, 2.0 + 1.5j])
     np.testing.assert_array_equal(rba._spread_duplicates(distinct), distinct)
+
+
+def test_spread_duplicates_stacks_three_coincident_poles():
+    out = rba._spread_duplicates(np.array([1.0 + 2.0j] * 3))
+    assert np.all(out.real == 1.0)
+    assert out[0].imag == 2.0 < out[1].imag < out[2].imag
+    np.testing.assert_allclose(out.imag, [2.0, 2.000002, 2.000004], rtol=1e-8)
+    rba._check_collisions(out, rba.COLLISION_TOL)
