@@ -13,6 +13,7 @@ from .inversion import (InversionConfig, InversionState, IterationRecord,
 from .mesh import (AnomalySpec, Grid, Model, Problem, ProblemSpec, SourceSpec,
                    assemble_M, build_problem, build_source, dM_contract,
                    parse_problem_file, spectral_bound)
+from .pool import PoleWorkerPool, default_worker_count
 from .rba import (FitConfig, FitReport, PoleCollisionError, RationalApproximant,
                   TimeChannels, fit_common_pole, load_approximant, refit_residues,
                   save_approximant, validate_fit)
@@ -20,9 +21,8 @@ from .regularization import RegOperator, build_reg, reg_value_grad
 from .reporting import (TimingModel, consolidate_report, fit_timing_model,
                         write_run_artifacts)
 from .sensitivity import JacobianOperator, TaylorReport, adjoint_test, taylor_test
-from .shifted import (CacheMissError, PoleWorkerPool, ShiftedFactorCache,
-                      SolveError, default_worker_count, factorize_all_poles,
-                      solve_all_poles)
+from .shifted import (CacheMissError, ShiftedFactorCache, SolveError,
+                      factorize_all_poles, solve_all_poles)
 from .synthetic import DataSet, NoiseSpec, load_dataset, make_dataset, save_dataset
 
 __version__ = "0.1.0"

@@ -124,7 +124,8 @@ def cmd_verify(args) -> int:
     h_values = 10.0 ** np.arange(-1, -6, -1, dtype=float)
     with ShiftedFactorCache(args.workers) as cache:
         opr = JacobianOperator(problem, model, approx, cache)
-        # before the Taylor trials, which replace the operator's factors
+        # first: the Taylor trials replace the operator's factors, so after
+        # them its first action would refactorize (7m factorizations, not 6m)
         mismatch = adjoint_test(opr, trials=args.trials, seed=args.seed)
         taylor = taylor_test(opr, direction, h_values)
 

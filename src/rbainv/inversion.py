@@ -25,7 +25,7 @@ from .mesh import Model, Problem
 from .rba import RationalApproximant
 from .regularization import RegOperator, build_reg, reg_value_grad
 from .sensitivity import JacobianOperator
-from .shifted import ShiftedFactorCache, factorize_all_poles, solve_all_poles
+from .shifted import ShiftedFactorCache, solve_all_poles
 from .synthetic import DataSet
 
 __all__ = [
@@ -259,9 +259,6 @@ def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
             ls = line_search(phi_before, slope, phi_eval)
             if ls.accepted:
                 cur = trial
-            else:
-                # the trials replaced the factors of the model the next operator is built at
-                factorize_all_poles(problem, cur.model, approx, cache)
             wall_ms = (time.perf_counter() - t0) * 1e3
             counters1 = cache.counters.snapshot()
 

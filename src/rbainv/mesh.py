@@ -452,9 +452,35 @@ _FILE_KEYS = {
 }
 
 
+def _parsed(section, key: str, parse):
+    """``section[key]`` through ``parse``, None if the section lacks ``key``; a
+    value that does not parse raises a ValueError naming its section and key."""
+    if key not in section:
+        return None
+    try:
+        return parse(section[key])
+    except ValueError as exc:
+        raise ValueError(f"[{section.name}] {key}: {exc}") from None
+
+
 def _spec_fields(section, keys: dict) -> dict:
     """The spec fields that ``section`` gives, parsed; the others keep their defaults."""
-    return {name: parse(section[key]) for key, (name, parse) in keys.items() if key in section}
+    return {name: _parsed(section, key, parse) for key, (name, parse) in keys.items()
+            if key in section}
+
+
+def _receiver_grid(text: str) -> np.ndarray:
+    vals = _floats(text)
+    _require(vals and len(vals) % 3 == 0 and all(n.is_integer() for n in vals[2::3]),
+             f"needs start stop count per axis, with whole counts, got {text!r}")
+    return _lattice([np.linspace(a, b, int(n)) for a, b, n in np.reshape(vals, (-1, 3))])
+
+
+def _points(text: str, d: int) -> np.ndarray:
+    vals = _floats(text)
+    _require(d >= 1 and len(vals) % d == 0,
+             f"needs whole {d}-coordinate points, got {len(vals)} numbers")
+    return np.reshape(vals, (-1, d))
 
 
 def parse_problem_file(path) -> ProblemSpec:
@@ -476,21 +502,16 @@ def parse_problem_file(path) -> ProblemSpec:
     if cp.has_section("receivers"):
         rc = cp["receivers"]
         if "grid" in rc:
-            vals = _floats(rc["grid"])
-            _require(vals and len(vals) % 3 == 0 and all(n.is_integer() for n in vals[2::3]),
-                     f"[receivers] grid needs start stop count per axis, with whole counts, "
-                     f"got {rc['grid']!r}")
-            receivers = _lattice([np.linspace(a, b, int(n))
-                                  for a, b, n in np.reshape(vals, (-1, 3))])
+            receivers = _parsed(rc, "grid", _receiver_grid)
         elif "positions" in rc:
-            receivers = np.reshape(_floats(rc["positions"]), (-1, dimension))
+            receivers = _parsed(rc, "positions", lambda text: _points(text, dimension))
 
     source = SourceSpec()
     if cp.has_section("source"):
         source = SourceSpec(**_spec_fields(cp["source"], _FILE_KEYS["source"]))
 
-    anomalies = tuple(AnomalySpec(box=_floats(cp[section]["box"]),
-                                  sigma=cp[section].getfloat("sigma"),
+    anomalies = tuple(AnomalySpec(box=_parsed(cp[section], "box", _floats),
+                                  sigma=_parsed(cp[section], "sigma", float),
                                   name=section.partition(".")[2])
                       for section in cp.sections() if section.partition(".")[0] == "anomaly")
     return ProblemSpec(**domain, receivers=receivers, source=source, anomalies=anomalies)

@@ -22,7 +22,7 @@ import numpy as np
 from .forward import forward_response, pole_sum, response_from_pole_solutions
 from .mesh import Model, Problem, dM_transpose_blocks
 from .rba import RationalApproximant
-from .shifted import ShiftedFactorCache, factor_key, solve_all_poles
+from .shifted import ShiftedFactorCache, factor_key, factorize_all_poles, solve_all_poles
 
 __all__ = [
     "JacobianOperator",
@@ -41,8 +41,8 @@ class JacobianOperator:
     CSC transpose, kept from construction), that worker's solves, and one
     product with Q.  The per-pole terms are summed on the calling thread in
     pole order, so the output is bit-identical for any worker count.
-    Instances are read-only once built, and raise once the cache holds
-    another `factor_key`.
+    Instances are read-only once built; an action first refactorizes at
+    their model if the cache holds another `factor_key`.
     """
 
     def __init__(self, problem: Problem, model: Model, approx: RationalApproximant,
@@ -65,13 +65,11 @@ class JacobianOperator:
             min(stride, approx.pole_count))
         self._blocks_T = [B.T for B in self._blocks]      # CSC views, no copies
 
-    def _check_current(self):
-        if not self.cache.holds(self.key):
-            raise RuntimeError("cache holds another problem, model or poles; rebuild the operator")
-
     def _map_workers(self, work) -> list:
-        """Run ``work(p, poles)`` once per worker; returns per-pole results in
-        pole order, where ``work`` returns one row per pole it was given."""
+        """Run ``work(p, poles)``, one row per pole, once per worker on
+        current factors; returns the rows in pole order."""
+        if not self.cache.holds(self.key):
+            factorize_all_poles(self.problem, self.model, self.approx, self.cache)
         pool = self.cache.pool
         stride = pool.workers
         m = self.approx.pole_count
@@ -80,7 +78,6 @@ class JacobianOperator:
 
     def jvp(self, v: np.ndarray) -> np.ndarray:
         """Directional derivative of the data; one solve per pole."""
-        self._check_current()
         v = np.asarray(v, dtype=float)
         approx = self.approx
         N = self.problem.dof_count
@@ -98,7 +95,6 @@ class JacobianOperator:
 
     def vjp(self, w: np.ndarray) -> np.ndarray:
         """Adjoint action; channels aggregate into one transpose solve per pole."""
-        self._check_current()
         W = np.asarray(w, dtype=float).reshape(self.approx.channels.count, -1)
         Qt_w = (self._Qt @ W.T).astype(complex)  # (N, K_t)
         approx = self.approx
@@ -137,7 +133,7 @@ def taylor_test(opr: JacobianOperator, direction: np.ndarray, h_values) -> Taylo
     e0(h) = |d(m + h dm) - d(m)| should shrink like h, and the first-order
     remainder e1(h) like h^2; the report carries log-log regression slopes
     over the points above the rounding floor.  The trials factorize their
-    models in ``opr``'s cache, so ``opr`` is stale afterwards.
+    models in ``opr``'s cache, so ``opr``'s next action refactorizes.
     """
     h_values = np.asarray(sorted(h_values, reverse=True), dtype=float)
     if h_values.size < 4 or h_values[0] / h_values[-1] < 100.0:

@@ -18,15 +18,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import Model, Problem, assemble_M
-from .pool import PoleWorkerPool, default_worker_count
+from .pool import PoleWorkerPool
 from .rba import RationalApproximant
 
 __all__ = [
     "CacheMissError",
     "SolveError",
     "ShiftedFactorCache",
-    "PoleWorkerPool",
-    "default_worker_count",
     "factorize_all_poles",
     "solve_all_poles",
 ]
@@ -147,7 +145,7 @@ def factorize_all_poles(problem: Problem, model: Model, approx: RationalApproxim
         if i < approx.pole_count:
             cache.factorize(i, K - approx.poles[i] * M)
         else:
-            cache.factors.pop(i)
+            cache.factors.pop(i, None)
 
     cache.pool.map_poles(work, max([approx.pole_count - 1, *cache.factors]) + 1)
     cache.key = key

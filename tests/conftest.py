@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import rbainv as rb
-from rbainv import shifted
+from rbainv import inversion, shifted
 
 
 def receiver_grid(lo, hi, n):
@@ -140,3 +140,19 @@ def factor_threads(monkeypatch):
 def assert_freed_where_made(records):
     assert any(made != threading.get_ident() for made, _ in records), "no worker made a factor"
     assert all(freed == made for made, freed in records)
+
+
+def reject_first_search(monkeypatch):
+    """Make the first line search evaluate one trial (evicting the current
+    model's factors) and reject; later searches run normally."""
+    real_search = inversion.line_search
+    calls = []
+
+    def reject_first(phi0, slope, evaluator):
+        calls.append(phi0)
+        if len(calls) == 1:
+            evaluator(1.0)
+            return rb.LineSearchResult(inversion.ETA_MIN, False, phi0, 1)
+        return real_search(phi0, slope, evaluator)
+
+    monkeypatch.setattr(inversion, "line_search", reject_first)

@@ -7,6 +7,7 @@ import pytest
 
 import rbainv as rb
 import rbainv.inversion as inv_mod
+from conftest import reject_first_search
 from oracles import dense_jacobian
 
 
@@ -302,30 +303,23 @@ DIAGNOSTICS = {
 
 def assert_counter_laws(state, m):
     """Per iteration, in units of m (one per pole): a factorization per
-    trial model, plus one to restore the current model after a rejected
-    search; a solve for the gradient's vjp, for LSQR's opening vjp, for one
-    jvp and one vjp per LSQR iteration, and for each trial's forward."""
+    trial model, plus one after a rejected search, when the next
+    iteration's first Jacobian action refactorizes the current model; a
+    solve for the gradient's vjp, for LSQR's opening vjp, for one jvp and
+    one vjp per LSQR iteration, and for each trial's forward.  The run's
+    totals add the reference model's factorizations and solves."""
+    rejected_before = False
     for r in state.history:
-        restore = 0 if r.accepted else 1
-        assert r.factorizations == m * (r.phi_evals + restore)
+        assert r.factorizations == m * (r.phi_evals + rejected_before)
         assert r.solves == m * (2 + 2 * r.lsqr_iters + r.phi_evals)
+        rejected_before = not r.accepted
+    for name in ("factorizations", "solves"):
+        assert state.counters[name] == m + sum(getattr(r, name) for r in state.history)
 
 
 def test_rejected_line_search_continues(tiny_setup, monkeypatch):
     prob, ap, data = tiny_setup
-    real_search = inv_mod.line_search
-    calls = []
-
-    # the first search evaluates one trial (evicting the current model's
-    # factors) and rejects; later searches run normally
-    def reject_first(phi0, slope, evaluator):
-        calls.append(phi0)
-        if len(calls) == 1:
-            evaluator(1.0)
-            return rb.LineSearchResult(inv_mod.ETA_MIN, False, phi0, 1)
-        return real_search(phi0, slope, evaluator)
-
-    monkeypatch.setattr(inv_mod, "line_search", reject_first)
+    reject_first_search(monkeypatch)
     cfg = rb.InversionConfig(lambda0=50.0, max_gn=4, workers=2)
     state = rb.run_inversion(prob, data, ap, cfg)
     assert state.diagnostic in DIAGNOSTICS
@@ -336,6 +330,22 @@ def test_rejected_line_search_continues(tiny_setup, monkeypatch):
     assert all(r.accepted for r in rest)
     assert state.chi2 < first.chi2
     assert_counter_laws(state, ap.pole_count)
+
+
+def test_run_ending_on_a_rejected_search_restores_no_factors(tiny_setup, monkeypatch):
+    prob, ap, data = tiny_setup
+    reject_first_search(monkeypatch)
+    state = rb.run_inversion(prob, data, ap, rb.InversionConfig(lambda0=50.0, max_gn=1,
+                                                                workers=2))
+    assert state.diagnostic == "max Gauss-Newton iterations"
+    assert not state.history[0].accepted
+    # the reference model and the one trial: nothing refactorizes the returned model
+    assert state.counters["factorizations"] == 2 * ap.pole_count
+    assert_counter_laws(state, ap.pole_count)
+    reference = prob.reference_model()
+    assert state.model.m.tobytes() == reference.m.tobytes()
+    np.testing.assert_array_equal(
+        state.d_pred, rb.forward_response(prob, reference, ap, rb.ShiftedFactorCache()))
 
 
 def test_accepted_path_counter_laws(tiny_setup):

@@ -337,6 +337,15 @@ def test_problem_file_keys_left_out_take_the_spec_defaults(tmp_path):
     (("[receivers]", "[receiver]"), r"unknown section \[receiver\]"),
     (("center = 5", "center = 0 0 7"), r"\[source\] a box center needs 1 or 2"),
     (("center = 5", "size = 40 40 40"), r"\[source\] a box size needs 1 or 2"),
+    (("center = 5", "amplitude = abc"), r"\[source\] amplitude: could not convert"),
+    (("cells = 4 4", "cells = x 16"), r"\[domain\] cells: could not convert"),
+    (("cells = 4 4", "cells = 4 4\ndimension = two"), r"\[domain\] dimension: invalid literal"),
+    (("positions = 0 0", "grid = a b c"), r"\[receivers\] grid: could not convert"),
+    (("positions = 0 0", "positions = 0.1 0.2 0.3"),
+     r"\[receivers\] positions: needs whole 2-coordinate points, got 3"),
+    (("[receivers]", "[anomaly.a]\nbox = -60 0 -60 0\nsigma = abc\n\n[receivers]"),
+     r"\[anomaly.a\] sigma: could not convert"),
+    (("[receivers]", "[anomaly.a]\nsigma = 1\n\n[receivers]"), r"\[anomaly.a\] box needs 4"),
 ])
 def test_problem_file_unknown_or_extra_entries_rejected(tmp_path, edit, message):
     path = tmp_path / "problem.ini"

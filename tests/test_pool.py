@@ -16,6 +16,8 @@ def test_shifted_exports_the_same_pool_class():
     assert shifted.PoleWorkerPool is PoleWorkerPool
     assert rb.PoleWorkerPool is PoleWorkerPool
     assert "map_poles" in vars(shifted.PoleWorkerPool)
+    # the package exports the pool from rbainv.pool only
+    assert not {"PoleWorkerPool", "default_worker_count"} & set(shifted.__all__)
 
 
 def test_results_in_index_order_and_owned_by_subset():

@@ -239,30 +239,41 @@ def test_aggregated_vjp_matches_per_channel(operator):
     assert np.linalg.norm(fast - naive) / np.linalg.norm(naive) <= 1e-12
 
 
-def test_stale_operator_rejected(small_problem, small_approx):
-    cache = rb.ShiftedFactorCache()
-    model = small_problem.true_model()
-    opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
-    rb.factorize_all_poles(small_problem, model.perturbed(np.ones(model.cell_count), 0.1),
-                           small_approx, cache)
-    with pytest.raises(RuntimeError):
-        opr.jvp(np.ones(opr.shape[1]))
-    # back at the operator's model, the factors are current again
-    rb.factorize_all_poles(small_problem, model, small_approx, cache)
-    np.testing.assert_array_equal(opr.jvp(np.ones(opr.shape[1])),
-                                  rb.JacobianOperator(small_problem, model, small_approx,
-                                                      cache).jvp(np.ones(opr.shape[1])))
+def assert_refactorizes_once(opr, evict, actions):
+    """After ``evict`` replaces ``opr``'s factors, the first of ``actions``
+    refactorizes every pole and the second none; both return the bits of a
+    fresh operator at ``opr``'s model."""
+    rng = np.random.default_rng(4)
+    args = {"jvp": rng.standard_normal(opr.shape[1]), "vjp": rng.standard_normal(opr.shape[0])}
+    fresh = rb.JacobianOperator(opr.problem, opr.model, opr.approx, rb.ShiftedFactorCache())
+    expected = {name: getattr(fresh, name)(x) for name, x in args.items()}
+    evict()
+    for name, made in zip(actions, (opr.approx.pole_count, 0)):
+        before = opr.cache.counters.factorizations
+        assert getattr(opr, name)(args[name]).tobytes() == expected[name].tobytes()
+        assert opr.cache.counters.factorizations - before == made
 
 
-def test_operator_stale_after_other_poles_at_its_model(small_problem, small_approx):
-    cache = rb.ShiftedFactorCache()
+def test_stale_operator_refactorizes_at_its_model(small_problem, small_approx):
     model = small_problem.true_model()
-    opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
+    with rb.ShiftedFactorCache(2) as cache:
+        opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
+        assert_refactorizes_once(
+            opr, lambda: rb.factorize_all_poles(
+                small_problem, model.perturbed(np.ones(model.cell_count), 0.1),
+                small_approx, cache),
+            ("jvp", "vjp"))
+
+
+def test_operator_refactorizes_after_other_poles_at_its_model(small_problem, small_approx):
+    model = small_problem.true_model()
     other = rb.fit_common_pole(small_approx.channels, small_approx.spectral_interval, 12,
                                rb.FitConfig(grid_size=500))
-    rb.forward_response(small_problem, model, other, cache)
-    with pytest.raises(RuntimeError):
-        opr.vjp(np.ones(opr.shape[0]))
+    with rb.ShiftedFactorCache(2) as cache:
+        opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
+        assert_refactorizes_once(
+            opr, lambda: rb.forward_response(small_problem, model, other, cache),
+            ("vjp", "jvp"))
 
 
 def test_taylor_slopes(small_problem, small_approx):

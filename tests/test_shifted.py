@@ -280,6 +280,34 @@ def test_fewer_poles_free_the_rest_on_their_owners(small_problem, small_approx, 
     assert_freed_where_made(factor_threads)
 
 
+@pytest.mark.parametrize("W", [1, 2])
+def test_fewer_poles_after_a_failed_factorization(small_problem, small_approx, factor_threads,
+                                                  monkeypatch, W):
+    model = small_problem.true_model()
+    other = model.perturbed(np.ones(model.cell_count), 0.1)
+    pole_3 = shifted_matrix(small_problem, other, small_approx.poles[3])
+    make = _Factor.__init__
+
+    def fail_at_pole_3(self, A):
+        if abs(A - pole_3).max() <= 1e-12 * abs(pole_3).max():
+            raise SolveError("pole 3 fails")
+        make(self, A)
+
+    with rb.ShiftedFactorCache(W) as cache:
+        rb.factorize_all_poles(small_problem, model, small_approx, cache)
+        monkeypatch.setattr(_Factor, "__init__", fail_at_pole_3)
+        with pytest.raises(SolveError):
+            rb.factorize_all_poles(small_problem, other, small_approx, cache)
+        monkeypatch.setattr(_Factor, "__init__", make)
+        # the failed pole has no factor left to drop
+        rb.factorize_all_poles(small_problem, model, tiny_approx(small_approx.poles[:2]), cache)
+        assert sorted(cache.factors) == [0, 1]
+        assert sum(freed is None for _, freed in factor_threads) == 2
+    assert all(freed == made for made, freed in factor_threads)
+    if W > 1:
+        assert_freed_where_made(factor_threads)
+
+
 def test_closed_cache_restarts_with_identical_solutions(small_problem, small_approx,
                                                         factor_threads):
     model = small_problem.true_model()
