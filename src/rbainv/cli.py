@@ -165,20 +165,11 @@ def cmd_make_data(args) -> int:
     return 0
 
 
-def _input_mismatch(problem, data, approx) -> str | None:
-    """Why the data, approximant and problem files do not belong together."""
-    if not np.array_equal(data.times, approx.channels.times):
-        return "the data's times differ from the approximant's channel times"
-    if not np.array_equal(data.receivers, problem.receivers):
-        return "the data's receivers differ from the problem's receivers"
-    return None
-
-
 def cmd_invert(args) -> int:
     problem = _load_problem(args.problem)
     data = _load("--data", load_dataset, args.data)
     approx = _load("--approx", load_approximant, args.approx)
-    mismatch = _input_mismatch(problem, data, approx)
+    mismatch = data.mismatch(problem, approx)
     if mismatch is not None:
         raise UsageError(mismatch)
     cfg = InversionConfig(
@@ -191,7 +182,7 @@ def cmd_invert(args) -> int:
     # an unusable run directory fails before the inversion, not after it
     _load("--out", lambda p: Path(p).mkdir(parents=True, exist_ok=True), args.out)
     state = run_inversion(problem, data, approx, cfg)
-    write_run_artifacts(args.out, state, data, problem, approx)
+    write_run_artifacts(args.out, state, data)
     print(f"inversion: {state.nu} iterations, chi2={state.chi2:.3f}, "
           f"lambda={state.lam:.3e} ({state.diagnostic})")
     return 0
@@ -250,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-rba", help="fit a shared-pole approximant")
     p.add_argument("--times-log10", required=True,
-                   type=_checked(_parse_times, lambda ch: ch.count > 0,
+                   type=_checked(_parse_times, lambda ch: True,
                                  "log10 start:log10 stop:count with start < stop and count >= 1"),
                    help="log10 start:log10 stop:count, e.g. -6:-3:31")
     p.add_argument("--poles", type=_count, default=21)

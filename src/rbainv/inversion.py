@@ -95,13 +95,17 @@ class IterationRecord:
 class InversionState:
     model: Model
     lam: float
-    nu: int                             # len(history)
     phi: float
     chi2: float
     history: list
     diagnostic: str
     counters: dict
     d_pred: np.ndarray                  # predicted data at ``model``
+
+    @property
+    def nu(self) -> int:
+        """The number of Gauss-Newton iterations run."""
+        return len(self.history)
 
 
 @dataclass
@@ -217,7 +221,11 @@ def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
     """Full Gauss-Newton loop with cooling; history rows carry everything
     needed to replay the objective and the Armijo bookkeeping.  On every
     exit ``phi == misfit + lam * reg_value`` at the returned model and
-    ``chi2 == chi_squared(data, d_pred)``."""
+    ``chi2 == chi_squared(data, d_pred)``.  Inputs that do not belong
+    together (`DataSet.mismatch`) raise ValueError before any work."""
+    mismatch = data.mismatch(problem, approx)
+    if mismatch is not None:
+        raise ValueError(mismatch)
     cfg = cfg or InversionConfig()
     reg = build_reg(problem.grid)
     W = data.weights
@@ -287,6 +295,6 @@ def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
 
         if cur.chi2 <= cfg.chi2_target:
             diagnostic = "chi2 target reached"
-        return InversionState(model=cur.model, lam=lam, nu=len(history), phi=cur.phi(lam),
+        return InversionState(model=cur.model, lam=lam, phi=cur.phi(lam),
                               chi2=cur.chi2, history=history, diagnostic=diagnostic,
                               counters=cache.counters.snapshot(), d_pred=cur.d_pred)

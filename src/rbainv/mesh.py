@@ -19,7 +19,7 @@ import hashlib
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as la
@@ -478,7 +478,7 @@ def _receiver_grid(text: str) -> np.ndarray:
 
 def _points(text: str, d: int) -> np.ndarray:
     vals = _floats(text)
-    _require(d >= 1 and len(vals) % d == 0,
+    _require(len(vals) % d == 0,
              f"needs whole {d}-coordinate points, got {len(vals)} numbers")
     return np.reshape(vals, (-1, d))
 
@@ -496,15 +496,15 @@ def parse_problem_file(path) -> ProblemSpec:
         for key in cp[section]:
             _require(key in keys, f"[{section}] unknown key {key!r}")
 
-    domain = _spec_fields(cp["domain"], _FILE_KEYS["domain"])
-    dimension = domain.get("dimension", ProblemSpec.dimension)
-    receivers = np.zeros((0, dimension))
+    domain = ProblemSpec(**_spec_fields(cp["domain"], _FILE_KEYS["domain"]))
+    _check_spec(domain)             # before the receiver points are read in its dimension
+    receivers = np.zeros((0, domain.dimension))
     if cp.has_section("receivers"):
         rc = cp["receivers"]
         if "grid" in rc:
             receivers = _parsed(rc, "grid", _receiver_grid)
         elif "positions" in rc:
-            receivers = _parsed(rc, "positions", lambda text: _points(text, dimension))
+            receivers = _parsed(rc, "positions", lambda text: _points(text, domain.dimension))
 
     source = SourceSpec()
     if cp.has_section("source"):
@@ -514,4 +514,4 @@ def parse_problem_file(path) -> ProblemSpec:
                                   sigma=_parsed(cp[section], "sigma", float),
                                   name=section.partition(".")[2])
                       for section in cp.sections() if section.partition(".")[0] == "anomaly")
-    return ProblemSpec(**domain, receivers=receivers, source=source, anomalies=anomalies)
+    return replace(domain, receivers=receivers, source=source, anomalies=anomalies)

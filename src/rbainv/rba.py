@@ -54,14 +54,14 @@ class PoleCollisionError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeChannels:
-    """Strictly increasing positive output times, in seconds."""
+    """A nonempty list of strictly increasing positive output times, in seconds."""
 
     times: np.ndarray
 
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.times, dtype=float))
-        if t.size and not (np.all(np.isfinite(t)) and np.all(t > 0) and np.all(np.diff(t) > 0)):
-            raise ValueError("times must be finite, positive and strictly increasing")
+        if not (t.size and np.all(np.isfinite(t)) and np.all(t > 0) and np.all(np.diff(t) > 0)):
+            raise ValueError("times must be nonempty, finite, positive and strictly increasing")
         object.__setattr__(self, "times", t)
 
     @property
@@ -157,16 +157,17 @@ def _samples(interval, times: np.ndarray, grid_size: int):
     The points are sorted and lie inside the spectral interval, endpoints
     included: ``grid_size`` linear points through the fast-decay region
     ``x <= 1/times[0]`` plus ``grid_size`` log-spaced points out to the end
-    of the interval.  Grids with sizes n and k*(n-1)+1 nest, so the observed
-    maximum of a fixed approximant's error is monotone under refinement.
+    of the interval, from ``x_min`` when it is positive.  Grids with sizes n
+    and k*(n-1)+1 nest, so the observed maximum of a fixed approximant's
+    error is monotone under refinement.
     """
     x_min, x_max = interval
     lin_hi = min(1.0 / times[0], x_max)
     parts = [np.array([x_min, x_max])]
     if lin_hi > x_min:
         parts.append(np.linspace(x_min, lin_hi, grid_size))
-    log_lo = max(x_min, 1e-3 * lin_hi)
-    if log_lo > 0 and x_max > log_lo:
+    log_lo = x_min if x_min > 0 else 1e-3 * lin_hi
+    if x_max > log_lo:
         parts.append(np.geomspace(log_lo, x_max, grid_size))
     x = np.unique(np.concatenate(parts))
     return x, np.exp(-np.outer(times, x))
@@ -288,11 +289,9 @@ def fit_common_pole(channels: TimeChannels, spectral_interval, pole_count: int,
     cfg = fit_cfg or FitConfig()
     pool = pool or PoleWorkerPool(1)
     times = channels.times
-    if times.size == 0:
-        raise ValueError("channels must be nonempty")
     x_min, x_max = float(spectral_interval[0]), float(spectral_interval[1])
-    if pole_count < 1 or x_min < 0 or x_max <= x_min:
-        raise ValueError("need pole_count >= 1 and 0 <= x_min < x_max")
+    if pole_count < 1 or not 0 <= x_min < x_max < np.inf:
+        raise ValueError("need pole_count >= 1 and a finite interval 0 <= x_min < x_max")
 
     m = pole_count
     x, F = _samples((x_min, x_max), times, cfg.grid_size)
@@ -353,8 +352,6 @@ def refit_residues(approx: RationalApproximant, channels: TimeChannels,
     (m x K_t) residue solve.
     """
     cfg = fit_cfg or FitConfig()
-    if channels.count == 0:
-        raise ValueError("channels must be nonempty")
     interval, times = approx.spectral_interval, channels.times
     err, alpha = _residues_and_error(*_samples(interval, times, cfg.grid_size),
                                      *_samples(interval, times, VALIDATION_GRID_SIZE),
@@ -368,9 +365,6 @@ def validate_fit(approx: RationalApproximant, grid_size: int) -> FitReport:
     """Accuracy audit on a refined grid."""
     if grid_size < 10:
         raise ValueError("grid_size must be >= 10")
-    K = approx.channels.count
-    if K == 0:
-        return FitReport(0.0, np.empty(0), 0)
     x, target = _samples(approx.spectral_interval, approx.channels.times, grid_size)
     got = approx.eval(x).T
     abs_err = np.abs(got - target)

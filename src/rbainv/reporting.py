@@ -10,8 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from .inversion import InversionState, IterationRecord
-from .mesh import Problem
-from .rba import RationalApproximant
 from .synthetic import DataSet
 
 __all__ = [
@@ -63,10 +61,10 @@ def _state_doc(state: InversionState) -> dict:
     }
 
 
-def write_run_artifacts(rundir, state: InversionState, data: DataSet,
-                        problem: Problem, approx: RationalApproximant) -> None:
-    """Persist state.json plus the plot-ready CSV exports for one run, with
-    the predicted data ``state.d_pred``.
+def write_run_artifacts(rundir, state: InversionState, data: DataSet) -> None:
+    """Persist state.json plus the plot-ready CSV exports for one run of
+    `run_inversion` on ``data``, with the predicted data ``state.d_pred``;
+    the channel times and receiver count are the data's.
 
     residual_heatmap.csv has one row per time channel and one column per
     receiver holding the weighted residuals; transients.csv is long-format
@@ -84,15 +82,15 @@ def write_run_artifacts(rundir, state: InversionState, data: DataSet,
         writer.writeheader()
         writer.writerows(r.as_dict() for r in state.history)
 
-    K_t = approx.channels.count
-    M_r = problem.receiver_count
+    times = data.times
+    K_t, M_r = times.size, len(data.receivers)
     d_pred = state.d_pred
     wres = data.residual(d_pred).reshape(K_t, M_r)
     with open(out / "residual_heatmap.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_s"] + [f"rx{r}" for r in range(M_r)])
         for j in range(K_t):
-            writer.writerow([approx.channels.times[j]] + wres[j].tolist())
+            writer.writerow([times[j]] + wres[j].tolist())
 
     obs = data.d_obs.reshape(K_t, M_r)
     pred = d_pred.reshape(K_t, M_r)
@@ -101,7 +99,7 @@ def write_run_artifacts(rundir, state: InversionState, data: DataSet,
         writer.writerow(["receiver", "time_s", "observed", "predicted"])
         for r in range(M_r):
             for j in range(K_t):
-                writer.writerow([r, approx.channels.times[j], obs[j, r], pred[j, r]])
+                writer.writerow([r, times[j], obs[j, r], pred[j, r]])
 
 
 def _is_history_row(row) -> bool:

@@ -62,6 +62,14 @@ class DataSet:
     def size(self) -> int:
         return self.d_obs.size
 
+    def mismatch(self, problem: Problem, approx: RationalApproximant) -> str | None:
+        """Why the data, approximant and problem files do not belong together."""
+        if not np.array_equal(self.times, approx.channels.times):
+            return "the data's times differ from the approximant's channel times"
+        if not np.array_equal(self.receivers, problem.receivers):
+            return "the data's receivers differ from the problem's receivers"
+        return None
+
 
 def make_dataset(problem: Problem, true_model: Model, approx: RationalApproximant,
                  noise: NoiseSpec, cache: ShiftedFactorCache | None = None) -> DataSet:

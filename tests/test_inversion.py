@@ -1,6 +1,6 @@
 import inspect
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -162,6 +162,22 @@ def test_run_inversion_noise_free_start_at_truth(tiny_setup):
     assert state.nu <= 1
     assert state.chi2 <= 1e-10
     assert state.diagnostic == "chi2 target reached"
+
+
+def test_run_inversion_rejects_mismatched_inputs(tiny_setup, monkeypatch):
+    prob, ap, data = tiny_setup
+    short = rb.refit_residues(ap, rb.TimeChannels(ap.channels.times[:-1]))
+
+    def no_cache(*args, **kwargs):
+        raise AssertionError("a cache was made for mismatched inputs")
+
+    monkeypatch.setattr(inv_mod, "ShiftedFactorCache", no_cache)
+    for inputs, message in [((prob, replace(data, times=data.times * 1.5), ap), "times"),
+                            ((prob, data, short), "times"),
+                            ((prob, replace(data, receivers=data.receivers * 1.5), ap),
+                             "receivers")]:
+        with pytest.raises(ValueError, match=message):
+            rb.run_inversion(*inputs, rb.InversionConfig(max_gn=1))
 
 
 def test_iterations_run_counts_the_history_rows(tiny_setup):

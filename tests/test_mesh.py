@@ -346,6 +346,7 @@ def test_problem_file_keys_left_out_take_the_spec_defaults(tmp_path):
     (("[receivers]", "[anomaly.a]\nbox = -60 0 -60 0\nsigma = abc\n\n[receivers]"),
      r"\[anomaly.a\] sigma: could not convert"),
     (("[receivers]", "[anomaly.a]\nsigma = 1\n\n[receivers]"), r"\[anomaly.a\] box needs 4"),
+    (("cells = 4 4", "cells = 4 4\ndimension = 3"), r"\[domain\] dimension must be 1 or 2, got 3"),
 ])
 def test_problem_file_unknown_or_extra_entries_rejected(tmp_path, edit, message):
     path = tmp_path / "problem.ini"

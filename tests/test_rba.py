@@ -102,13 +102,11 @@ def test_validate_fit_refined_grid(acc_approx):
     assert np.all(report.per_channel_max_abs <= report.max_abs)
 
 
-def test_validate_fit_empty_channels():
-    ap = RationalApproximant(poles=np.array([1j]), residues=np.zeros((1, 0), complex),
-                             spectral_interval=(0.0, 1.0), fit_error=0.0,
-                             channels=rb.TimeChannels(np.array([])))
-    report = rb.validate_fit(ap, 100)
-    assert report.max_abs == 0.0
-    assert report.per_channel_max_abs.size == 0
+def test_time_channels_reject_an_empty_list():
+    with pytest.raises(ValueError, match="nonempty"):
+        rb.TimeChannels(np.array([]))
+    with pytest.raises(ValueError, match="nonempty"):
+        rb.TimeChannels.logspaced(1e-6, 1e-3, 0)
 
 
 def test_validate_fit_monotone_in_grid_size(acc_approx):
@@ -185,6 +183,9 @@ def test_fit_preconditions(channels31):
         rb.fit_common_pole(channels31, (-1.0, 1e5), 4)
     with pytest.raises(ValueError):
         rb.fit_common_pole(rb.TimeChannels(np.array([])), (0.0, 1e5), 4)
+    for interval in [(0.0, np.inf), (np.nan, 1e5), (0.0, np.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            rb.fit_common_pole(channels31, interval, 4)
 
 
 def test_fit_bit_identical_for_any_worker_count():
@@ -235,6 +236,14 @@ def _denominator_rows_oracle(B, F_j, m):
     ``[B | -F_j B]``."""
     Q, R = np.linalg.qr(np.concatenate([B, -F_j[:, None] * B], axis=1), mode="reduced")
     return R[2 * m:, 2 * m:], Q[:, 2 * m:].T @ F_j
+
+
+def test_fit_error_holds_on_a_refined_grid_for_a_positive_x_min():
+    # the log-spaced samples start at x_min, so no stretch of a positive
+    # interval is sampled by the linear points alone
+    ap = rb.fit_common_pole(rb.TimeChannels.logspaced(1e-6, 1e-3, 15), (500.0, 2e6), 21,
+                            FitConfig(grid_size=500))
+    assert rb.validate_fit(ap, 4001).max_abs <= 2 * ap.fit_error
 
 
 def _stacked_cd(rows):

@@ -47,7 +47,7 @@ def test_timing_model_accepts_dict_rows():
 def test_write_and_consolidate_run_artifacts(tmp_path, tiny_inversion):
     prob, ap, data, state = tiny_inversion
     rundir = tmp_path / "run"
-    rb.write_run_artifacts(rundir, state, data, prob, ap)
+    rb.write_run_artifacts(rundir, state, data)
     assert sorted(p.name for p in rundir.iterdir()) == [
         "convergence.csv", "residual_heatmap.csv", "state.json", "transients.csv"]
 
