@@ -205,7 +205,8 @@ def cmd_report(args) -> int:
     return 0
 
 
-WORKERS_HELP = "thread workers (default: $RBAINV_WORKERS, else 1)"
+WORKERS_HELP = ("pole workers: this process and W-1 forked processes (fit-rba: W threads) "
+                "(default: $RBAINV_WORKERS, else 1)")
 
 
 def _worker_count(text: str) -> int:

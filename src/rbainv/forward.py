@@ -21,8 +21,9 @@ __all__ = [
 
 
 def pole_sum(terms, shape) -> np.ndarray:
-    """2 Re of the sum of ``terms``, complex arrays of ``shape`` given in
-    ascending pole order, added in that order onto zeros (so -0.0 sums to +0.0)."""
+    """2 Re of the sum of ``terms``, arrays of ``shape`` given in ascending
+    pole order, added in that order onto zeros (so -0.0 sums to +0.0).  A
+    term may be complex or already its real part, which has the same bits."""
     out = np.zeros(shape)
     for term in terms:
         out += 2.0 * np.real(term)

@@ -254,7 +254,6 @@ def run_inversion(problem: Problem, data: DataSet, approx: RationalApproximant,
             grad = opr.vjp(W * W * (cur.d_pred - data.d_obs)) + lam * cur.reg_grad
             dm, lsqr_iters, istop = gn_step(opr, reg, data, cur.d_pred, cur.model, lam,
                                             cfg.lsqr)
-            del opr                        # free its contraction blocks before the next one is built
             slope = float(grad @ dm)
 
             trial = None

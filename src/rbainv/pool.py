@@ -1,8 +1,9 @@
-"""Deterministic worker pool for independent indexed tasks.
+"""Deterministic thread pool for independent indexed tasks.
 
-Used for the per-pole work of the shifted solves, where each
-`ShiftedFactorCache` owns one pool, and for the per-channel QR
-factorizations of the shared-pole fit.  Depends on the standard library
+Used for the per-channel QR factorizations of the shared-pole fit, whose
+few large LAPACK calls scale on threads.  The pole work of the shifted
+solves runs in a `ShiftedFactorCache`'s worker processes instead, because
+SuperLU solves do not scale on threads.  Depends on the standard library
 only, so every module can import it.
 """
 
@@ -43,10 +44,8 @@ class PoleWorkerPool:
     worker 0.  Each worker p >= 1 is one dedicated thread, started on its
     first task and kept until `close()` (or garbage collection), so subset p
     runs on the same thread in every call, a warm pool starts no threads,
-    and a call never starts more threads than it has tasks.  Native state
-    that must be released on the thread that made it (SuperLU factors) can
-    therefore be owned by index, and released by a `map_poles` call before
-    `close()`.  ``fn`` must not call `map_poles` on the same pool.
+    and a call never starts more threads than it has tasks.  ``fn`` must
+    not call `map_poles` on the same pool.
     """
 
     def __init__(self, workers: int = 1):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import cholesky_banded
 
 from .mesh import Grid, Model
@@ -55,14 +56,32 @@ def build_reg(grid: Grid) -> RegOperator:
     anchor_eps = 1e-8 * (L_div.diagonal().sum() / P if F else 1.0)
     L = (L_div + anchor_eps * sp.diags(grid.cell_measure)).tocsr()
 
-    # LAPACK upper band storage: ab[u + i - j, j] = L[i, j], factored in place
+    # LAPACK upper band storage: ab[u + i - j, j] = L[i, j], factored in
+    # place; it is the head of ``flat``, whose tail of u^2 zeros lets every
+    # row of R be read as one strided view
     upper = sp.triu(L).tocoo()
     u = int((upper.col - upper.row).max())
-    ab = np.zeros((u + 1, P), order="F")
+    flat = np.zeros((u + 1) * P + u * u)
+    ab = flat[:(u + 1) * P].reshape((u + 1, P), order="F")
     ab[u + upper.row - upper.col, upper.col] = upper.data
-    cb = cholesky_banded(ab, overwrite_ab=True)
-    R_factor = sp.dia_matrix((cb, np.arange(u, -1, -1)), shape=(P, P)).tocsr()
-    return RegOperator(L=L, R_factor=R_factor, anchor_eps=anchor_eps)
+    cholesky_banded(ab, overwrite_ab=True)
+    return RegOperator(L=L, R_factor=_band_rows_csr(flat, u, P), anchor_eps=anchor_eps)
+
+
+def _band_rows_csr(flat: np.ndarray, u: int, P: int) -> sp.csr_matrix:
+    """CSR of the upper triangular R held in the band at the head of ``flat``,
+    without R's exact zeros (above the envelope), columns ascending."""
+    # R[i, i + k] = ab[u - k, i + k] = flat[u + i (u + 1) + k u], and the
+    # zero tail covers i + k >= P
+    step = flat.itemsize
+    rows = as_strided(flat[u:], shape=(P, u + 1), strides=(step * (u + 1), step * u),
+                      writeable=False)
+    ints = np.arange(P + u, dtype=np.int32)                 # cols[i, k] = i + k
+    cols = as_strided(ints, shape=(P, u + 1), strides=(ints.itemsize,) * 2, writeable=False)
+    nonzero = rows != 0
+    indptr = np.zeros(P + 1, dtype=np.int64)
+    np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((rows[nonzero], cols[nonzero], indptr), shape=(P, P))
 
 
 def reg_value_grad(reg: RegOperator, model: Model):

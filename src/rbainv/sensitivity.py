@@ -15,9 +15,12 @@ this is checked by `adjoint_test` rather than assumed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .forward import forward_response, pole_sum, response_from_pole_solutions
 from .mesh import Model, Problem, dM_transpose_blocks
@@ -35,14 +38,17 @@ __all__ = [
 class JacobianOperator:
     """Jacobian of the data map at one model, applied matrix-free.
 
-    Holds the pole solutions g_i and, per cache worker p, one block-diagonal
-    CSR B_p = blockdiag(dM(g_i)^T) over the poles i = p mod W that p owns.
-    A Jacobian action maps one task per worker: one product with B_p (or its
-    CSC transpose, kept from construction), that worker's solves, and one
-    product with Q.  The per-pole terms are summed on the calling thread in
-    pole order, so the output is bit-identical for any worker count.
-    Instances are read-only once built; an action first refactorizes at
-    their model if the cache holds another `factor_key`.
+    Holds the pole solutions g_i.  Each cache worker p holds, for the
+    poles i = p mod W it owns, one block-diagonal CSR
+    B_p = blockdiag(dM(g_i)^T) with its CSC transpose, built in the worker
+    (`_load_blocks`) for one operator at a time.  A Jacobian action sends
+    each worker one vector and runs, there, one product with B_p^T or B_p,
+    that worker's solves and one product with Q; the per-pole rows come
+    back and are summed on the calling process in pole order, so the
+    output is bit-identical for any worker count.  Instances are read-only
+    once built; an action first refactorizes at their model if the cache
+    holds another `factor_key`, and rebuilds the blocks if the workers
+    hold another operator's.
     """
 
     def __init__(self, problem: Problem, model: Model, approx: RationalApproximant,
@@ -57,59 +63,92 @@ class JacobianOperator:
         self.g = pole_solutions
         self.shape = (problem.receiver_count * approx.channels.count,
                       problem.grid.cell_count)
-        self._Qc = problem.Q.astype(complex)
-        self._Qt = problem.Q.T
-        stride = cache.pool.workers
-        self._blocks = cache.pool.map_poles(
-            lambda p: dM_transpose_blocks(problem, model, self.g[p::stride]),
-            min(stride, approx.pole_count))
-        self._blocks_T = [B.T for B in self._blocks]      # CSC views, no copies
+        self._token = next(_tokens)
+        self._load()
 
-    def _map_workers(self, work) -> list:
-        """Run ``work(p, poles)``, one row per pole, once per worker on
-        current factors; returns the rows in pole order."""
-        if not self.cache.holds(self.key):
-            factorize_all_poles(self.problem, self.model, self.approx, self.cache)
-        pool = self.cache.pool
-        stride = pool.workers
-        m = self.approx.pole_count
-        rows = pool.map_poles(lambda p: work(p, range(p, m, stride)), len(self._blocks))
-        return [rows[i % stride][i // stride] for i in range(m)]
+    def _load(self) -> None:
+        self.cache.use(self.problem)
+        self.cache.run(_load_blocks, self._token, self.model, self.g, self.approx.poles,
+                       self.approx.residues)
+
+    def _rows(self, op, x: np.ndarray) -> list:
+        """``op``'s rows, one per pole in pole order, from every worker on
+        current factors and this operator's blocks."""
+        cache = self.cache
+        if not cache.holds(self.key):
+            factorize_all_poles(self.problem, self.model, self.approx, cache)
+        if cache.operator is None or cache.operator.token != self._token:
+            self._load()
+        rows = cache.run(op, x)
+        W = cache.workers
+        return [rows[i % W][i // W] for i in range(self.approx.pole_count)]
 
     def jvp(self, v: np.ndarray) -> np.ndarray:
         """Directional derivative of the data; one solve per pole."""
-        v = np.asarray(v, dtype=float)
-        approx = self.approx
-        N = self.problem.dof_count
-
-        def work(p: int, poles: range):
-            rhs = self._blocks_T[p] @ np.tile(v, len(poles))      # dM(g_i) v, stacked
-            H = np.empty((N, len(poles)), dtype=complex)
-            for k, i in enumerate(poles):
-                H[:, k] = self.cache.solve(i, rhs[k * N:(k + 1) * N])
-            return (self._Qc @ H).T
-
-        q = self._map_workers(work)
-        return pole_sum((approx.poles[i] * np.outer(approx.residues[i], q[i]).ravel()
-                         for i in range(approx.pole_count)), self.shape[0])
+        return pole_sum(self._rows(_jvp, np.asarray(v, dtype=float)), self.shape[0])
 
     def vjp(self, w: np.ndarray) -> np.ndarray:
         """Adjoint action; channels aggregate into one transpose solve per pole."""
         W = np.asarray(w, dtype=float).reshape(self.approx.channels.count, -1)
-        Qt_w = (self._Qt @ W.T).astype(complex)  # (N, K_t)
-        approx = self.approx
-        N = self.problem.dof_count
+        return pole_sum(self._rows(_vjp, W), self.shape[1])
 
-        def work(p: int, poles: range):
-            Z = np.empty(len(poles) * N, dtype=complex)
-            for k, i in enumerate(poles):
-                y = Qt_w @ approx.residues[i]             # sum_j alpha[i, j] Q^T w_j
-                Z[k * N:(k + 1) * N] = self.cache.solve(i, y, trans="T")
-            return (self._blocks[p] @ Z).reshape(len(poles), -1)
 
-        parts = self._map_workers(work)
-        return pole_sum((approx.poles[i] * parts[i] for i in range(approx.pole_count)),
-                        self.shape[1])
+_tokens = itertools.count()
+
+
+class _Blocks(NamedTuple):
+    """One process's part of one Jacobian operator."""
+    token: int
+    poles: range            # the poles this process owns
+    B: sp.csr_matrix        # blockdiag(dM(g_i)^T) over those poles
+    B_T: sp.csc_matrix      # its transpose, a view of the same arrays
+    Qc: sp.csr_matrix       # the receiver matrix Q as complex, and Q^T
+    Qt: sp.csc_matrix
+    xi: np.ndarray          # all poles and residues of the approximant
+    alpha: np.ndarray
+
+
+def _load_blocks(cache: ShiftedFactorCache, token: int, model: Model, g: np.ndarray,
+                 xi: np.ndarray, alpha: np.ndarray) -> None:
+    cache.operator = None      # free the last operator's block before building this one
+    poles = range(cache.rank, len(xi), cache.workers)
+    problem = cache.problem
+    B = dM_transpose_blocks(problem, model, g[poles.start::poles.step])
+    cache.operator = _Blocks(token, poles, B, B.T, problem.Q.astype(complex), problem.Q.T,
+                             xi, alpha)
+
+
+def _jvp(cache: ShiftedFactorCache, v: np.ndarray) -> np.ndarray:
+    """Re(xi_i alpha_i outer Q A_i^{-1} dM(g_i) v) for this process's poles,
+    one row each (`pole_sum` doubles it)."""
+    ops = cache.operator
+    N = ops.Qc.shape[1]
+    rhs = ops.B_T @ np.tile(v, len(ops.poles))            # dM(g_i) v, stacked
+    H = np.empty((N, len(ops.poles)), dtype=complex)
+    for k, i in enumerate(ops.poles):
+        H[:, k] = cache.solve(i, rhs[k * N:(k + 1) * N])
+    q = (ops.Qc @ H).T
+    out = np.empty((len(ops.poles), ops.alpha.shape[1] * q.shape[1]))
+    for k, i in enumerate(ops.poles):
+        out[k] = np.real(ops.xi[i] * np.outer(ops.alpha[i], q[k]).ravel())
+    return out
+
+
+def _vjp(cache: ShiftedFactorCache, W: np.ndarray) -> np.ndarray:
+    """Re(xi_i dM(g_i)^T A_i^{-T} Q^T W^T alpha_i) for this process's poles,
+    one row each (`pole_sum` doubles it)."""
+    ops = cache.operator
+    N = ops.Qc.shape[1]
+    Qt_w = (ops.Qt @ W.T).astype(complex)              # (N, K_t)
+    Z = np.empty(len(ops.poles) * N, dtype=complex)
+    for k, i in enumerate(ops.poles):
+        y = Qt_w @ ops.alpha[i]                           # sum_j alpha[i, j] Q^T w_j
+        Z[k * N:(k + 1) * N] = cache.solve(i, y, trans="T")
+    parts = (ops.B @ Z).reshape(len(ops.poles), -1)
+    out = np.empty(parts.shape)
+    for k, i in enumerate(ops.poles):
+        out[k] = np.real(ops.xi[i] * parts[k])
+    return out
 
 
 @dataclass

@@ -13,6 +13,7 @@ if "numpy" in sys.modules:
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 
+import multiprocessing
 import threading
 import weakref
 
@@ -119,11 +120,20 @@ def in_box(points, box):
     return ok
 
 
+@pytest.fixture(autouse=True)
+def no_stray_processes():
+    """Fail a test that leaves a pole worker (or any child process) alive."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes left running: {left}"
+
+
 @pytest.fixture
 def factor_threads(monkeypatch):
-    """[making thread, freeing thread] of every SuperLU factor made while the
-    fixture is active; the freeing thread stays None until the factor is
-    freed.  SuperLU frees a factor's memory only on the thread that made it."""
+    """[making thread, freeing thread] of every SuperLU factor the calling
+    process makes while the fixture is active; the freeing thread stays
+    None until the factor is freed.  Factors made in worker processes are
+    not recorded."""
     records = []
     make = shifted._Factor.__init__
 
@@ -137,9 +147,25 @@ def factor_threads(monkeypatch):
     return records
 
 
-def assert_freed_where_made(records):
-    assert any(made != threading.get_ident() for made, _ in records), "no worker made a factor"
-    assert all(freed == made for made, freed in records)
+def assert_freed_on_the_calling_thread(records):
+    """The calling process made factors and freed each of them on the
+    thread that made them, the calling thread."""
+    assert records, "the calling process made no factor"
+    assert all(made == freed == threading.get_ident() for made, freed in records)
+
+
+def calling_share(count, workers):
+    """How many of ``count`` poles worker 0, the calling process, owns."""
+    return len(range(0, count, workers))
+
+
+def _held(cache):
+    return np.array(sorted(cache.factors), dtype=int)
+
+
+def held_poles(cache):
+    """The poles with a factor in some worker of ``cache``, ascending."""
+    return sorted(int(i) for held in cache.run(_held) for i in held)
 
 
 def reject_first_search(monkeypatch):

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rbainv as rb
-from conftest import assert_freed_where_made
+from conftest import assert_freed_on_the_calling_thread, calling_share
 from rbainv import cli
 from rbainv.cli import main
 
@@ -193,10 +194,12 @@ def verify_args(workdir, W, out):
 
 def test_verify_builds_one_operator(workdir, factor_threads):
     # one factor set at the model, shared by the operator and the adjoint
-    # check, then one per Taylor step (5)
+    # check, then one per Taylor step (5); the calling process makes its
+    # share of each set
     assert main(verify_args(workdir, 2, workdir / "verify_factors.json")) == 0
-    assert len(factor_threads) == 6 * rb.load_approximant(workdir / "approx.json").pole_count
-    assert_freed_where_made(factor_threads)
+    m = rb.load_approximant(workdir / "approx.json").pole_count
+    assert len(factor_threads) == 6 * calling_share(m, 2)
+    assert_freed_on_the_calling_thread(factor_threads)
 
 
 def test_verify_outputs_bit_identical_across_workers(workdir):
@@ -226,7 +229,8 @@ def test_commands_free_every_factor_on_the_thread_that_made_it(workdir, factor_t
                "--approx", str(workdir / "approx.json"), "--workers", str(W),
                "--out", str(workdir / f"{command}_w{W}.json")])
     assert rc == 0
-    assert_freed_where_made(factor_threads)
+    assert_freed_on_the_calling_thread(factor_threads)
+    assert not multiprocessing.active_children()
 
 
 def fit_args(workdir):

@@ -43,8 +43,7 @@ def test_results_in_index_order_and_owned_by_subset():
 
 @pytest.mark.parametrize("W", [2, 3, 4])
 def test_subset_runs_on_the_same_thread_in_every_call(W):
-    # SuperLU factors must be freed on the thread that made them, so pole
-    # ownership is a thread affinity, whatever the task count of a call
+    # subset p runs on one thread whatever the task count of a call
     owner = {}
     with PoleWorkerPool(W) as pool:
         for count in [3 * W + 1, W, 2, 5 * W, W + 1] * 4:

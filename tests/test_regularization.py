@@ -102,6 +102,29 @@ def test_banded_factor_past_the_dense_limit():
         assert np.linalg.norm(reg.R_factor.T @ (reg.R_factor @ v) - Lv) <= 1e-12 * np.linalg.norm(Lv)
 
 
+def dia_band_factor(L):
+    """R from the banded Cholesky of L through `sp.dia_matrix(...).tocsr()`;
+    oracle for the CSR `build_reg` builds straight from the band."""
+    upper = sp.triu(L).tocoo()
+    u = int((upper.col - upper.row).max())
+    ab = np.zeros((u + 1, L.shape[0]), order="F")
+    ab[u + upper.row - upper.col, upper.col] = upper.data
+    cb = la.cholesky_banded(ab)
+    return sp.dia_matrix((cb, np.arange(u, -1, -1)), shape=L.shape).tocsr()
+
+
+@pytest.mark.parametrize("cells", [16, 48, 100])
+def test_band_csr_equals_the_dia_conversion(cells):
+    grid = _box_grid(np.array([[-60.0, 60.0], [-60.0, 60.0]]), [cells, cells], "dirichlet")
+    reg = rb.build_reg(grid)
+    want = dia_band_factor(reg.L)
+    assert reg.R_factor.format == "csr" and reg.R_factor.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(reg.R_factor, name), getattr(want, name)), name
+    # the band above the envelope holds exact zeros, and R keeps none of them
+    assert np.all(reg.R_factor.data != 0)
+
+
 def test_indefinite_matrix_raises(small_problem):
     grid = small_problem.grid
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):

@@ -1,6 +1,12 @@
 import dataclasses
 import functools
+import gc
 import inspect
+import multiprocessing
+import os
+import signal
+import socket
+import threading
 import weakref
 
 import numpy as np
@@ -8,7 +14,9 @@ import pytest
 import scipy.linalg as la
 
 import rbainv as rb
-from conftest import assert_freed_where_made, shifted_matrix
+from conftest import (assert_freed_on_the_calling_thread, calling_share, held_poles,
+                      shifted_matrix)
+from rbainv import shifted
 from rbainv.shifted import CacheMissError, SolveError, _Factor
 
 
@@ -220,10 +228,19 @@ def test_inversion_frees_every_factor_on_the_thread_that_made_it(
         small_problem, small_approx, factor_threads, W):
     data = rb.make_dataset(small_problem, small_problem.true_model(), small_approx,
                            rb.NoiseSpec(seed=3))
-    del factor_threads[:]
-    rb.run_inversion(small_problem, data, small_approx,
-                     rb.InversionConfig(lambda0=50.0, max_gn=2, workers=W))
-    assert_freed_where_made(factor_threads)
+    states = []
+    for workers in (1, W):
+        del factor_threads[:]
+        states.append(rb.run_inversion(small_problem, data, small_approx,
+                                       rb.InversionConfig(lambda0=50.0, max_gn=2,
+                                                          workers=workers)))
+        assert not multiprocessing.active_children()
+    # the calling process made its share of every factor set, on this thread
+    m = small_approx.pole_count
+    assert_freed_on_the_calling_thread(factor_threads)
+    assert len(factor_threads) == states[1].counters["factorizations"] // m * calling_share(m, W)
+    assert states[0].counters == states[1].counters
+    assert states[0].model.m.tobytes() == states[1].model.m.tobytes()
 
 
 @pytest.mark.parametrize("W", [2, 3, 4])
@@ -240,9 +257,10 @@ def test_scaling_benchmark_frees_every_factor_on_the_thread_that_made_it(
             g = rb.solve_all_poles(small_problem, model, small_approx, small_problem.f, cache)
             opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
             opr.vjp(opr.jvp(np.ones(opr.shape[1])))
+        assert not multiprocessing.active_children()
         solutions.append(g.tobytes())
     assert solutions[0] == solutions[1]
-    assert_freed_where_made(factor_threads)
+    assert_freed_on_the_calling_thread(factor_threads)
 
 
 @pytest.mark.parametrize("W", [2, 3, 4])
@@ -253,20 +271,28 @@ def test_closing_a_cache_frees_the_factors_functions_made_with_it(
         rb.make_dataset(small_problem, model, small_approx, rb.NoiseSpec(seed=1), cache)
         opr = rb.JacobianOperator(small_problem, model, small_approx, cache)
         rb.taylor_test(opr, np.ones(small_problem.grid.cell_count), 10.0 ** -np.arange(1, 6))
-    assert_freed_where_made(factor_threads)
+        workers = multiprocessing.active_children()
+        assert len(workers) == W - 1
+    assert cache.factors == {}
+    assert not multiprocessing.active_children()
+    assert all(worker.exitcode == 0 for worker in workers)
+    assert_freed_on_the_calling_thread(factor_threads)
 
 
 def test_refactorization_replaces_stale_factor_on_its_owner(small_problem, small_approx,
                                                             factor_threads):
     ref = small_problem.reference_model()
+    m, own = small_approx.pole_count, calling_share(small_approx.pole_count, 3)
     with rb.ShiftedFactorCache(3) as cache:
         for k in range(3):
             model = rb.Model(ref.m + 0.1 * k, ref.m_ref)
             rb.factorize_all_poles(small_problem, model, small_approx, cache)
             # one live factor per pole: each stale one was freed by its maker
-            assert sum(freed is None for _, freed in factor_threads) == small_approx.pole_count
-    assert len(factor_threads) == 3 * small_approx.pole_count
-    assert_freed_where_made(factor_threads)
+            assert held_poles(cache) == list(range(m))
+            assert sum(freed is None for _, freed in factor_threads) == own
+            assert cache.counters.factorizations == (k + 1) * m
+    assert len(factor_threads) == 3 * own
+    assert_freed_on_the_calling_thread(factor_threads)
     assert cache.factors == {}
 
 
@@ -275,9 +301,10 @@ def test_fewer_poles_free_the_rest_on_their_owners(small_problem, small_approx, 
     with rb.ShiftedFactorCache(3) as cache:
         rb.factorize_all_poles(small_problem, model, small_approx, cache)
         rb.factorize_all_poles(small_problem, model, tiny_approx(small_approx.poles[:5]), cache)
-        assert sorted(cache.factors) == list(range(5))
-        assert sum(freed is None for _, freed in factor_threads) == 5
-    assert_freed_where_made(factor_threads)
+        assert held_poles(cache) == list(range(5))
+        assert sorted(cache.factors) == [0, 3]
+        assert sum(freed is None for _, freed in factor_threads) == 2
+    assert_freed_on_the_calling_thread(factor_threads)
 
 
 @pytest.mark.parametrize("W", [1, 2])
@@ -293,19 +320,19 @@ def test_fewer_poles_after_a_failed_factorization(small_problem, small_approx, f
             raise SolveError("pole 3 fails")
         make(self, A)
 
+    # patched before the workers start, so pole 3's worker fails at W=2 too
+    monkeypatch.setattr(_Factor, "__init__", fail_at_pole_3)
     with rb.ShiftedFactorCache(W) as cache:
         rb.factorize_all_poles(small_problem, model, small_approx, cache)
-        monkeypatch.setattr(_Factor, "__init__", fail_at_pole_3)
-        with pytest.raises(SolveError):
+        with pytest.raises(SolveError, match="pole 3 fails"):
             rb.factorize_all_poles(small_problem, other, small_approx, cache)
+        assert cache.key is None and not cache.has(0)
         monkeypatch.setattr(_Factor, "__init__", make)
         # the failed pole has no factor left to drop
         rb.factorize_all_poles(small_problem, model, tiny_approx(small_approx.poles[:2]), cache)
-        assert sorted(cache.factors) == [0, 1]
-        assert sum(freed is None for _, freed in factor_threads) == 2
-    assert all(freed == made for made, freed in factor_threads)
-    if W > 1:
-        assert_freed_where_made(factor_threads)
+        assert held_poles(cache) == [0, 1]
+        assert sum(freed is None for _, freed in factor_threads) == calling_share(2, W)
+    assert_freed_on_the_calling_thread(factor_threads)
 
 
 def test_closed_cache_restarts_with_identical_solutions(small_problem, small_approx,
@@ -314,19 +341,105 @@ def test_closed_cache_restarts_with_identical_solutions(small_problem, small_app
     with rb.ShiftedFactorCache(3) as cache:
         first = rb.solve_all_poles(small_problem, model, small_approx, small_problem.f, cache)
     assert cache.factors == {}
+    assert not multiprocessing.active_children()
     with cache:
         second = rb.solve_all_poles(small_problem, model, small_approx, small_problem.f, cache)
+        assert len(multiprocessing.active_children()) == 2
+    assert not multiprocessing.active_children()
     assert cache.counters.factorizations == 2 * small_approx.pole_count
-    assert_freed_where_made(factor_threads)
+    assert_freed_on_the_calling_thread(factor_threads)
     np.testing.assert_array_equal(first, second)
 
 
 def test_unclosed_cache_workers_are_collected_with_it(small_problem, small_approx):
     cache = rb.ShiftedFactorCache(2)
     rb.factorize_all_poles(small_problem, small_problem.true_model(), small_approx, cache)
-    refs = weakref.ref(cache), weakref.ref(cache.pool)
+    workers = multiprocessing.active_children()
+    assert len(workers) == 1
+    ref = weakref.ref(cache)
     del cache
-    assert all(ref() is None for ref in refs)
+    gc.collect()
+    assert ref() is None
+    assert not multiprocessing.active_children()
+    assert workers[0].exitcode == 0
+
+
+def test_close_stops_the_workers(small_problem, small_approx):
+    cache = rb.ShiftedFactorCache(2)
+    rb.factorize_all_poles(small_problem, small_problem.true_model(), small_approx, cache)
+    [worker] = multiprocessing.active_children()
+    cache.close()
+    assert not multiprocessing.active_children() and worker.exitcode == 0
+    assert cache.key is None and cache.factors == {}
+    cache.close()
+
+
+def test_workers_stop_when_a_cache_block_raises(small_problem, small_approx):
+    with pytest.raises(ValueError, match="inside"):
+        with rb.ShiftedFactorCache(2) as cache:
+            rb.solve_all_poles(small_problem, small_problem.true_model(), small_approx,
+                               small_problem.f, cache)
+            assert len(multiprocessing.active_children()) == 1
+            raise ValueError("inside")
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("W,poles,started", [(1, 16, 0), (2, 16, 1), (4, 2, 1), (8, 3, 2)])
+def test_workers_started_are_at_most_one_fewer_than_the_poles(small_problem, small_approx,
+                                                              W, poles, started):
+    approx = tiny_approx(small_approx.poles[:poles])
+    with rb.ShiftedFactorCache(W) as cache:
+        rb.factorize_all_poles(small_problem, small_problem.true_model(), approx, cache)
+        assert len(multiprocessing.active_children()) == started
+        assert cache.counters.factorizations == poles
+        assert held_poles(cache) == list(range(poles))
+
+
+def test_a_reply_larger_than_the_socket_buffer_arrives_whole():
+    a, b = socket.socketpair()
+    with a, b:
+        a.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        array = np.arange(3 * 2**17, dtype=float).reshape(3, -1) + 0.5j
+        sender = threading.Thread(target=shifted._send, args=(a, ("head", array.shape), array),
+                                  daemon=True)
+        sender.start()
+        head, size = shifted._recv(b)
+        got = np.empty(size, dtype=np.uint8)
+        shifted._recv_exactly(b, memoryview(got))
+        sender.join(30)
+        assert not sender.is_alive()
+    assert head == ("head", array.shape) and size == array.nbytes
+    assert got.view(complex).reshape(head[1]).tobytes() == array.tobytes()
+
+
+def test_a_killed_worker_raises_instead_of_hanging(small_problem, small_approx):
+    model = small_problem.true_model()
+    solve = functools.partial(rb.solve_all_poles, small_problem, model, small_approx,
+                              small_problem.f)
+    with rb.ShiftedFactorCache(2) as cache:
+        first = solve(cache)
+        [worker] = multiprocessing.active_children()
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(10)
+        outcome = []
+        runner = threading.Thread(target=lambda: outcome.append(_raised(solve, cache)),
+                                  daemon=True)
+        runner.start()
+        runner.join(60)
+        assert not runner.is_alive(), "the solve hung on a dead worker"
+        assert isinstance(outcome[0], SolveError) and "pole worker 1" in str(outcome[0])
+        assert cache.key is None and not multiprocessing.active_children()
+        # the next use starts a new worker and refactorizes
+        assert solve(cache).tobytes() == first.tobytes()
+        assert cache.counters.factorizations == 2 * small_approx.pole_count
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the test inspects it
+        return exc
+    return None
 
 
 def test_only_the_cache_takes_pole_workers():
