@@ -1,16 +1,16 @@
 """Deterministic thread pool for independent indexed tasks.
 
 Used for the per-channel QR factorizations of the shared-pole fit, whose
-few large LAPACK calls scale on threads.  The pole work of the shifted
-solves runs in a `ShiftedFactorCache`'s worker processes instead, because
-SuperLU solves do not scale on threads.  Depends on the standard library
-only, so every module can import it.
+few large LAPACK calls scale on threads and keep no state between calls,
+so any thread of the pool may run any index subset.  The pole work of
+the shifted solves runs in a `ShiftedFactorCache`'s worker processes
+instead, because SuperLU solves do not scale on threads.  Depends on the
+standard library only, so every module can import it.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 
 __all__ = ["PoleWorkerPool", "default_worker_count", "parse_worker_count"]
@@ -36,33 +36,23 @@ def default_worker_count() -> int:
 
 
 class PoleWorkerPool:
-    """Maps indexed work across workers that each own a fixed index subset.
+    """Maps indexed work across W workers.
 
-    Worker p owns indices {i : i mod W == p} and processes them in
-    ascending order; results land in an index-ordered list, so the gathered
-    output never depends on the worker count.  The calling thread is
-    worker 0.  Each worker p >= 1 is one dedicated thread, started on its
-    first task and kept until `close()` (or garbage collection), so subset p
-    runs on the same thread in every call, a warm pool starts no threads,
-    and a call never starts more threads than it has tasks.  ``fn`` must
-    not call `map_poles` on the same pool.
+    Worker p runs the indices {i : i mod W == p} in ascending order, and
+    results land in an index-ordered list, so the gathered output never
+    depends on the worker count.  The calling thread is worker 0; workers
+    1..W-1 run on the threads of one executor, made on first use and kept
+    until `close()`, so a warm pool starts no threads and a call never
+    starts more threads than it has tasks.  A pool nobody closes stops its
+    threads when it is garbage collected.  ``fn`` must not call
+    `map_poles` on the same pool.
     """
 
     def __init__(self, workers: int = 1):
         self.workers = int(workers)
         if self.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {workers!r}")
-        self._executors: dict[int, ThreadPoolExecutor] = {}
-        self._finalizer = None
-
-    def _worker(self, p: int) -> ThreadPoolExecutor:
-        """Worker p's one-thread executor, started on first use."""
-        if self._finalizer is None:
-            self._finalizer = weakref.finalize(self, _shutdown, self._executors, False)
-        if p not in self._executors:
-            self._executors[p] = ThreadPoolExecutor(max_workers=1,
-                                                    thread_name_prefix=f"rbainv-worker-{p}")
-        return self._executors[p]
+        self._executor: ThreadPoolExecutor | None = None
 
     def map_poles(self, fn, count: int) -> list:
         results = [None] * count
@@ -71,8 +61,11 @@ class PoleWorkerPool:
             for i in range(p, count, self.workers):
                 results[i] = fn(i)
 
-        futures = [self._worker(p).submit(run_subset, p)
-                   for p in range(1, min(self.workers, count))]
+        subsets = range(1, min(self.workers, count))
+        if subsets and self._executor is None:
+            self._executor = ThreadPoolExecutor(self.workers - 1,
+                                                thread_name_prefix="rbainv-worker")
+        futures = [self._executor.submit(run_subset, p) for p in subsets]
         try:
             run_subset(0)
         finally:
@@ -83,19 +76,12 @@ class PoleWorkerPool:
 
     def close(self) -> None:
         """Stop and join the worker threads; a later call starts new ones."""
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-            _shutdown(self._executors, True)
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
 
     def __enter__(self) -> "PoleWorkerPool":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _shutdown(executors: dict, join: bool) -> None:
-    for executor in executors.values():
-        executor.shutdown(wait=join)
-    executors.clear()

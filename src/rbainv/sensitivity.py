@@ -10,7 +10,10 @@ channels into a single right-hand side per pole before solving, and the
 transpose solve reuses the forward factorization because every shifted
 matrix is complex symmetric.  Plain transposes (no conjugation) on the
 complex factors are what make the real adjoint identity hold to rounding;
-this is checked by `adjoint_test` rather than assumed.
+this is checked by `adjoint_test` rather than assumed.  The per-pole
+terms are computed in the factor cache's pole workers, each on the poles
+`ShiftedFactorCache.owned` gives it, and `ShiftedFactorCache.gather`
+returns them in pole order.
 """
 
 from __future__ import annotations
@@ -38,17 +41,17 @@ __all__ = [
 class JacobianOperator:
     """Jacobian of the data map at one model, applied matrix-free.
 
-    Holds the pole solutions g_i.  Each cache worker p holds, for the
-    poles i = p mod W it owns, one block-diagonal CSR
-    B_p = blockdiag(dM(g_i)^T) with its CSC transpose, built in the worker
-    (`_load_blocks`) for one operator at a time.  A Jacobian action sends
-    each worker one vector and runs, there, one product with B_p^T or B_p,
-    that worker's solves and one product with Q; the per-pole rows come
-    back and are summed on the calling process in pole order, so the
-    output is bit-identical for any worker count.  Instances are read-only
-    once built; an action first refactorizes at their model if the cache
-    holds another `factor_key`, and rebuilds the blocks if the workers
-    hold another operator's.
+    Holds the pole solutions g_i.  Each cache worker holds, for the poles
+    i it owns, one block-diagonal CSR B_p = blockdiag(dM(g_i)^T) with its
+    CSC transpose, built in the worker (`_load_blocks`) for one operator
+    at a time.  A Jacobian action sends each worker one vector and runs,
+    there, one product with B_p^T or B_p, that worker's solves and one
+    product with Q; the cache gathers the per-pole rows in pole order and
+    they are summed on the calling process in that order, so the output
+    is bit-identical for any worker count.  Instances are read-only once
+    built; building one, and each action, first refactorizes at its model
+    if the cache holds another `factor_key`, and rebuilds the blocks if
+    the workers hold another operator's.
     """
 
     def __init__(self, problem: Problem, model: Model, approx: RationalApproximant,
@@ -57,7 +60,7 @@ class JacobianOperator:
         self.model = model
         self.approx = approx
         self.cache = cache
-        self.key = factor_key(problem, model, approx)
+        self.key = factor_key(problem, model, approx.poles)
         if pole_solutions is None:
             pole_solutions = solve_all_poles(problem, model, approx, problem.f, cache)
         self.g = pole_solutions
@@ -67,30 +70,24 @@ class JacobianOperator:
         self._load()
 
     def _load(self) -> None:
-        self.cache.use(self.problem)
-        self.cache.run(_load_blocks, self._token, self.model, self.g, self.approx.poles,
-                       self.approx.residues)
-
-    def _rows(self, op, x: np.ndarray) -> list:
-        """``op``'s rows, one per pole in pole order, from every worker on
-        current factors and this operator's blocks."""
+        """Make the cache's factors and its workers' blocks this operator's."""
         cache = self.cache
         if not cache.holds(self.key):
             factorize_all_poles(self.problem, self.model, self.approx, cache)
-        if cache.operator is None or cache.operator.token != self._token:
-            self._load()
-        rows = cache.run(op, x)
-        W = cache.workers
-        return [rows[i % W][i // W] for i in range(self.approx.pole_count)]
+        if getattr(cache.operator, "token", None) != self._token:
+            cache.run(_load_blocks, self._token, self.model, self.g, self.approx.poles,
+                      self.approx.residues)
 
     def jvp(self, v: np.ndarray) -> np.ndarray:
         """Directional derivative of the data; one solve per pole."""
-        return pole_sum(self._rows(_jvp, np.asarray(v, dtype=float)), self.shape[0])
+        self._load()
+        return pole_sum(self.cache.gather(_jvp, np.asarray(v, dtype=float)), self.shape[0])
 
     def vjp(self, w: np.ndarray) -> np.ndarray:
         """Adjoint action; channels aggregate into one transpose solve per pole."""
+        self._load()
         W = np.asarray(w, dtype=float).reshape(self.approx.channels.count, -1)
-        return pole_sum(self._rows(_vjp, W), self.shape[1])
+        return pole_sum(self.cache.gather(_vjp, W), self.shape[1])
 
 
 _tokens = itertools.count()
@@ -99,8 +96,7 @@ _tokens = itertools.count()
 class _Blocks(NamedTuple):
     """One process's part of one Jacobian operator."""
     token: int
-    poles: range            # the poles this process owns
-    B: sp.csr_matrix        # blockdiag(dM(g_i)^T) over those poles
+    B: sp.csr_matrix        # blockdiag(dM(g_i)^T) over the poles this process owns
     B_T: sp.csc_matrix      # its transpose, a view of the same arrays
     Qc: sp.csr_matrix       # the receiver matrix Q as complex, and Q^T
     Qt: sp.csc_matrix
@@ -111,25 +107,24 @@ class _Blocks(NamedTuple):
 def _load_blocks(cache: ShiftedFactorCache, token: int, model: Model, g: np.ndarray,
                  xi: np.ndarray, alpha: np.ndarray) -> None:
     cache.operator = None      # free the last operator's block before building this one
-    poles = range(cache.rank, len(xi), cache.workers)
     problem = cache.problem
-    B = dM_transpose_blocks(problem, model, g[poles.start::poles.step])
-    cache.operator = _Blocks(token, poles, B, B.T, problem.Q.astype(complex), problem.Q.T,
-                             xi, alpha)
+    B = dM_transpose_blocks(problem, model, g[cache.owned(len(xi))])
+    cache.operator = _Blocks(token, B, B.T, problem.Q.astype(complex), problem.Q.T, xi, alpha)
 
 
 def _jvp(cache: ShiftedFactorCache, v: np.ndarray) -> np.ndarray:
     """Re(xi_i alpha_i outer Q A_i^{-1} dM(g_i) v) for this process's poles,
     one row each (`pole_sum` doubles it)."""
     ops = cache.operator
+    poles = cache.owned(len(ops.xi))
     N = ops.Qc.shape[1]
-    rhs = ops.B_T @ np.tile(v, len(ops.poles))            # dM(g_i) v, stacked
-    H = np.empty((N, len(ops.poles)), dtype=complex)
-    for k, i in enumerate(ops.poles):
+    rhs = ops.B_T @ np.tile(v, len(poles))                # dM(g_i) v, stacked
+    H = np.empty((N, len(poles)), dtype=complex)
+    for k, i in enumerate(poles):
         H[:, k] = cache.solve(i, rhs[k * N:(k + 1) * N])
     q = (ops.Qc @ H).T
-    out = np.empty((len(ops.poles), ops.alpha.shape[1] * q.shape[1]))
-    for k, i in enumerate(ops.poles):
+    out = np.empty((len(poles), ops.alpha.shape[1] * q.shape[1]))
+    for k, i in enumerate(poles):
         out[k] = np.real(ops.xi[i] * np.outer(ops.alpha[i], q[k]).ravel())
     return out
 
@@ -138,15 +133,16 @@ def _vjp(cache: ShiftedFactorCache, W: np.ndarray) -> np.ndarray:
     """Re(xi_i dM(g_i)^T A_i^{-T} Q^T W^T alpha_i) for this process's poles,
     one row each (`pole_sum` doubles it)."""
     ops = cache.operator
+    poles = cache.owned(len(ops.xi))
     N = ops.Qc.shape[1]
     Qt_w = (ops.Qt @ W.T).astype(complex)              # (N, K_t)
-    Z = np.empty(len(ops.poles) * N, dtype=complex)
-    for k, i in enumerate(ops.poles):
+    Z = np.empty(len(poles) * N, dtype=complex)
+    for k, i in enumerate(poles):
         y = Qt_w @ ops.alpha[i]                           # sum_j alpha[i, j] Q^T w_j
         Z[k * N:(k + 1) * N] = cache.solve(i, y, trans="T")
-    parts = (ops.B @ Z).reshape(len(ops.poles), -1)
+    parts = (ops.B @ Z).reshape(len(poles), -1)
     out = np.empty(parts.shape)
-    for k, i in enumerate(ops.poles):
+    for k, i in enumerate(poles):
         out[k] = np.real(ops.xi[i] * parts[k])
     return out
 

@@ -4,11 +4,12 @@ Every pole gets its own complex direct factorization.  A cache holds one
 factor set under one key (problem, model version, poles), which forward
 responses, Jacobian actions and adjoint actions all reuse; one cache may
 serve several problems and approximants.  A cache of W pole workers runs
-worker 0 in the calling process and workers 1..W-1 as forked processes;
-worker p makes, uses and frees the factors of the poles i = p mod W, and
-sends back one row per pole.  Workers share no mutable state, and the
-calling process gathers the rows in pole order, so results are
-bit-identical for any worker count.
+worker 0 in the calling process and, for a set of m poles, workers
+1..min(W, m)-1 as forked processes.  This module alone knows which worker
+owns which pole: worker p makes, uses and frees the factors of the poles
+i = p mod W (`ShiftedFactorCache.owned`) and returns one row per pole,
+which `ShiftedFactorCache.gather` puts in pole order.  Workers share no
+mutable state, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -75,17 +76,18 @@ class ShiftedFactorCache:
 
     ``key`` is None while `factorize_all_poles` remakes the factors, after
     a failure and after `close`, and no factor is current then.  Worker 0
-    is the calling process.  Workers 1..W-1 are processes forked on first
-    use, at most one fewer than the poles; each runs on its own copy of
-    this cache, whose ``rank`` is its index.  `run` applies one
-    module-level operation in every worker, and each process's
-    ``factors``, ``problem`` and ``operator`` are its own: ``factors``
-    holds the factors of the poles i = rank mod W only, while ``key`` and
-    `has` describe the whole set.  ``counters`` count the work of every
-    worker.  `close` frees this process's factors and stops the worker
-    processes; a closed cache starts new ones on its next use, and the
-    workers of a cache nobody closes stop when it is garbage collected.
-    A one-worker cache starts no process.  Use a cache from one thread.
+    is the calling process.  Workers 1..W-1 are forked processes, each on
+    its own copy of this cache, whose ``rank`` is its index;
+    `factorize_all_poles` runs exactly the ones that own a pole of the set
+    it makes.  `run` applies one module-level operation in every running
+    worker, and each process's ``factors``, ``problem`` and ``operator``
+    are its own: ``factors`` holds the factors of the poles
+    ``owned(m)`` only, while ``key`` and `has` describe the whole set.
+    ``counters`` count the work of every worker.  `close` frees this
+    process's factors and stops the worker processes; a closed cache
+    starts new ones on its next use, and the workers of a cache nobody
+    closes stop when it is garbage collected.  A one-worker cache starts
+    no process.  Use a cache from one thread.
     """
 
     def __init__(self, workers: int = 1):
@@ -117,18 +119,25 @@ class ShiftedFactorCache:
         self.counters.factorizations += 1
 
     def solve(self, i: int, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Solve with pole i's factor; the calling process asks the worker
-        that holds it."""
+        """Solve with pole i's factor, which this process must own."""
         if not self.has(i):
             raise CacheMissError(f"no current factorization for pole {i}")
-        owner = i % self.workers
-        if owner != self.rank:
-            if self.rank != 0:
-                raise CacheMissError(f"pole {i} is factorized in pole worker {owner}")
-            return self.run(_solve_pole, i, rhs, trans)[owner].copy()
+        if i % self.workers != self.rank:
+            raise CacheMissError(f"pole {i} is factorized in pole worker {i % self.workers}")
         out = self.factors[i].solve(np.asarray(rhs, dtype=complex), trans=trans)
         self.counters.solves += 1
         return out
+
+    def owned(self, m: int) -> range:
+        """The poles of an m-pole set that this process owns."""
+        return range(self.rank, m, self.workers)
+
+    def gather(self, op, *args) -> list:
+        """`run` an operation that returns one row per owned pole; returns
+        the rows of every worker in pole order, views valid as `run`'s."""
+        rows = self.run(op, *args)
+        W = self.workers
+        return [rows[i % W][i // W] for i in range(sum(map(len, rows)))]
 
     def use(self, problem: Problem) -> None:
         """Make ``problem`` the one every worker holds; sent once per problem."""
@@ -136,8 +145,8 @@ class ShiftedFactorCache:
             self.run(_use_problem, problem)
 
     def run(self, op, *args) -> list:
-        """``op(cache, *args)`` in every worker on its copy of this cache;
-        returns the results (None or an array) by worker.
+        """``op(cache, *args)`` in every running worker on its copy of this
+        cache; returns the results (None or an array) by worker.
 
         The calling process runs worker 0's part after sending the others
         theirs.  Each reply carries that worker's counter increments.  An
@@ -190,10 +199,13 @@ class ShiftedFactorCache:
                                 f"(exit code {proc.exitcode})"))
             return None
 
-    def _start(self, poles: int) -> None:
-        """Fork the workers that ``poles`` poles need and that are not running."""
+    def _resize(self, poles: int) -> None:
+        """Run exactly the workers that own one of ``poles`` poles: fork the
+        missing ones and stop the rest."""
         wanted = min(self.workers, poles) - 1
-        if len(self._procs) >= wanted:
+        _stop_workers(self._procs[wanted:])
+        del self._procs[wanted:]
+        if len(self._procs) == wanted:
             return
         if self._finalizer is None:
             self._finalizer = weakref.finalize(self, _stop_workers, self._procs)
@@ -326,38 +338,35 @@ def _factorize(cache: ShiftedFactorCache, model: Model, poles: np.ndarray) -> No
         del cache.factors[i]
     M = assemble_M(cache.problem, model).astype(complex).tocsc()
     K = cache.problem.K.astype(complex).tocsc()
-    for i in range(cache.rank, len(poles), cache.workers):
+    for i in cache.owned(len(poles)):
         cache.factorize(i, K - poles[i] * M)
-    cache.key = (cache.problem, model.version_tag(), poles.tobytes())
-
-
-def _solve_pole(cache: ShiftedFactorCache, i: int, rhs: np.ndarray, trans: str):
-    return cache.solve(i, rhs, trans) if i % cache.workers == cache.rank else None
+    cache.key = factor_key(cache.problem, model, poles)
 
 
 def _solve(cache: ShiftedFactorCache, rhs: np.ndarray) -> np.ndarray:
     """A_i^{-1} rhs for this process's poles, one row each."""
-    poles = range(cache.rank, _pole_count(cache.key), cache.workers)
+    poles = cache.owned(_pole_count(cache.key))
     out = np.empty((len(poles), len(rhs)), dtype=complex)
     for k, i in enumerate(poles):
         out[k] = cache.solve(i, rhs)
     return out
 
 
-def factor_key(problem: Problem, model: Model, approx: RationalApproximant) -> tuple:
+def factor_key(problem: Problem, model: Model, poles: np.ndarray) -> tuple:
     """The problem by identity, its model version and the poles by value."""
-    return problem, model.version_tag(), approx.poles.tobytes()
+    return problem, model.version_tag(), poles.tobytes()
 
 
 def factorize_all_poles(problem: Problem, model: Model, approx: RationalApproximant,
                         cache: ShiftedFactorCache) -> None:
     """Factorize every A_i = K - xi_i M(m) unless the cache holds them; each
-    stale factor, poles past ``approx``'s too, is freed by its worker."""
-    if cache.holds(factor_key(problem, model, approx)):
+    stale factor, poles past ``approx``'s too, is freed by its worker, and
+    workers that own none of ``approx``'s poles stop."""
+    if cache.holds(factor_key(problem, model, approx.poles)):
         return
     cache.key = None
     cache.use(problem)
-    cache._start(approx.pole_count)
+    cache._resize(approx.pole_count)
     cache.run(_factorize, model, approx.poles)
 
 
@@ -369,7 +378,4 @@ def solve_all_poles(problem: Problem, model: Model, approx: RationalApproximant,
     problem, model version and poles.
     """
     factorize_all_poles(problem, model, approx, cache)
-    g = np.empty((approx.pole_count, problem.dof_count), dtype=complex)
-    for p, rows in enumerate(cache.run(_solve, rhs)):
-        g[p::cache.workers] = rows
-    return g
+    return np.stack(cache.gather(_solve, rhs))

@@ -159,6 +159,16 @@ def calling_share(count, workers):
     return len(range(0, count, workers))
 
 
+def _solve_if_owned(cache, i, rhs, trans):
+    return cache.solve(i, rhs, trans) if i % cache.workers == cache.rank else None
+
+
+def solve_pole(cache, i, rhs, trans="N"):
+    """``cache.solve(i, rhs, trans)`` run in the worker that owns pole i."""
+    [row] = [row for row in cache.run(_solve_if_owned, i, rhs, trans) if row is not None]
+    return row.copy()
+
+
 def _held(cache):
     return np.array(sorted(cache.factors), dtype=int)
 

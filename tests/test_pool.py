@@ -1,3 +1,4 @@
+import gc
 import sys
 import threading
 
@@ -20,38 +21,34 @@ def test_shifted_exports_the_same_pool_class():
     assert not {"PoleWorkerPool", "default_worker_count"} & set(shifted.__all__)
 
 
-def test_results_in_index_order_and_owned_by_subset():
+def test_results_in_index_order_and_subsets_ascending():
     with PoleWorkerPool(3) as pool:
-        owner = {}
+        runs = {}
 
         def fn(i):
-            owner.setdefault(threading.get_ident(), []).append(i)
+            runs.setdefault(threading.get_ident(), []).append(i)
             return i * i
 
         assert pool.map_poles(fn, 10) == [i * i for i in range(10)]
-    # each subset {i : i mod 3 == p} runs on one thread, in ascending order;
-    # subset 0 runs on the calling thread
-    subsets = {}
-    for thread, done in owner.items():
-        for i in done:
-            subsets.setdefault(i % 3, []).append((thread, i))
-    for p, runs in subsets.items():
-        assert len({thread for thread, _ in runs}) == 1
-        assert [i for _, i in runs] == list(range(p, 10, 3))
-    assert subsets[0][0][0] == threading.get_ident()
+    # subset 0 runs on the calling thread; each subset {i : i mod 3 == p}
+    # runs in ascending order, and a thread runs whole subsets
+    assert runs[threading.get_ident()] == [0, 3, 6, 9]
+    for done in runs.values():
+        for p in {i % 3 for i in done}:
+            assert [i for i in done if i % 3 == p] == list(range(p, 10, 3))
 
 
-@pytest.mark.parametrize("W", [2, 3, 4])
-def test_subset_runs_on_the_same_thread_in_every_call(W):
-    # subset p runs on one thread whatever the task count of a call
-    owner = {}
-    with PoleWorkerPool(W) as pool:
-        for count in [3 * W + 1, W, 2, 5 * W, W + 1] * 4:
-            for i, thread in enumerate(pool.map_poles(lambda i: threading.get_ident(), count)):
-                owner.setdefault(i % W, set()).add(thread)
-    assert all(len(threads) == 1 for threads in owner.values())
-    assert owner[0] == {threading.get_ident()}
-    assert len(set.union(*owner.values())) == W
+def test_unclosed_pool_threads_end_when_it_is_collected():
+    before = _worker_threads()
+    pool = PoleWorkerPool(2)
+    assert pool.map_poles(lambda i: i, 4) == [0, 1, 2, 3]
+    started = _worker_threads() - before
+    assert len(started) == 1
+    del pool
+    gc.collect()
+    for thread in started:
+        thread.join(10)
+    assert _worker_threads() == before
 
 
 @pytest.mark.parametrize("W", [0, -1])

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import rbainv as rb
+from conftest import solve_pole
 from oracles import dM_contract_reference, dense_jacobian
 from rbainv.forward import pole_sum
 
@@ -164,7 +165,7 @@ def jvp_per_pole(opr, v):
     D = np.zeros((approx.channels.count, opr.problem.receiver_count))
     for i in range(approx.pole_count):
         dM = dM_contract_reference(opr.problem, opr.model, opr.g[i])
-        q = opr.problem.Q @ opr.cache.solve(i, dM @ v)
+        q = opr.problem.Q @ solve_pole(opr.cache, i, dM @ v)
         D += 2.0 * np.real(approx.poles[i] * np.outer(approx.residues[i], q))
     return D.ravel()
 
@@ -177,7 +178,7 @@ def vjp_per_pole(opr, w):
     out = np.zeros(opr.shape[1])
     for i in range(approx.pole_count):
         dM = dM_contract_reference(opr.problem, opr.model, opr.g[i])
-        z = opr.cache.solve(i, Qt_w @ approx.residues[i], trans="T")
+        z = solve_pole(opr.cache, i, Qt_w @ approx.residues[i], trans="T")
         out += 2.0 * np.real(approx.poles[i] * (dM.T @ z))
     return out
 
@@ -226,7 +227,8 @@ def vjp_per_channel(opr, w):
     for i in range(approx.pole_count):
         dM = dM_contract_reference(opr.problem, opr.model, opr.g[i])
         for j in range(approx.channels.count):
-            z = opr.cache.solve(i, opr.problem.Q.T @ W[j].astype(complex), trans="T")
+            z = solve_pole(opr.cache, i, opr.problem.Q.T @ W[j].astype(complex),
+                           trans="T")
             out += 2.0 * np.real(approx.poles[i] * approx.residues[i, j] * (dM.T @ z))
     return out
 

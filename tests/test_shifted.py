@@ -15,7 +15,7 @@ import scipy.linalg as la
 
 import rbainv as rb
 from conftest import (assert_freed_on_the_calling_thread, calling_share, held_poles,
-                      shifted_matrix)
+                      shifted_matrix, solve_pole)
 from rbainv import shifted
 from rbainv.shifted import CacheMissError, SolveError, _Factor
 
@@ -393,6 +393,48 @@ def test_workers_started_are_at_most_one_fewer_than_the_poles(small_problem, sma
         assert len(multiprocessing.active_children()) == started
         assert cache.counters.factorizations == poles
         assert held_poles(cache) == list(range(poles))
+
+
+def leading_poles(approx, m):
+    """``approx``'s first m poles with their residues, on its channels."""
+    return dataclasses.replace(approx, poles=approx.poles[:m], residues=approx.residues[:m])
+
+
+@pytest.mark.parametrize("W,first,then", [(2, 9, 1), (4, 16, 2), (4, 9, 3)])
+def test_fewer_poles_than_running_workers_stop_the_rest(small_problem, small_approx,
+                                                        W, first, then):
+    model = small_problem.true_model()
+    big, small = leading_poles(small_approx, first), leading_poles(small_approx, then)
+    rng = np.random.default_rng(W)
+    v = rng.standard_normal(small_problem.grid.cell_count)
+    w = rng.standard_normal(small_problem.receiver_count * small.channels.count)
+    outs = []
+    for workers in (1, W):
+        with rb.ShiftedFactorCache(workers) as cache:
+            # the bigger set runs its workers and leaves operator blocks in them
+            rb.JacobianOperator(small_problem, model, big, cache).jvp(v)
+            running = multiprocessing.active_children()
+            assert len(running) == min(workers, first) - 1
+            g = rb.solve_all_poles(small_problem, model, small, small_problem.f, cache)
+            assert len(multiprocessing.active_children()) == min(workers, then) - 1
+            d = rb.forward_response(small_problem, model, small, cache)
+            opr = rb.JacobianOperator(small_problem, model, small, cache, pole_solutions=g)
+            outs.append([g, d, opr.jvp(v), opr.vjp(w)])
+            assert len(multiprocessing.active_children()) == min(workers, then) - 1
+        assert all(worker.exitcode == 0 for worker in running)
+    for one, many in zip(*outs):
+        assert one.tobytes() == many.tobytes()
+
+
+def test_solve_serves_only_the_poles_of_its_process(small_problem, small_approx):
+    rhs = small_problem.f.astype(complex)
+    with rb.ShiftedFactorCache(2) as cache:
+        g = rb.solve_all_poles(small_problem, small_problem.true_model(), small_approx, rhs,
+                               cache)
+        assert cache.solve(0, rhs).tobytes() == g[0].tobytes()
+        with pytest.raises(CacheMissError, match="pole worker 1"):
+            cache.solve(1, rhs)
+        assert solve_pole(cache, 1, rhs).tobytes() == g[1].tobytes()
 
 
 def test_a_reply_larger_than_the_socket_buffer_arrives_whole():
